@@ -3,7 +3,7 @@
 
 One run of one workload (run from the root of a checkout):
 
-    python3 perfbench/run.py --workload table2 --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload table2 --seed 0 --seconds 20 --trace 0
 
 prints the machine fingerprint and every metric with its unit, then, as
 its last line, one JSON object with ``correct``, ``attempted``,
@@ -15,7 +15,7 @@ fresh process, then once traced; prints every metric's median,
 quartiles, min, max and spread beside its bound, and the tracing
 overhead:
 
-    python3 perfbench/run.py --repeat 10 --seed 0 --seconds 30
+    python3 perfbench/run.py --repeat 10 --seed 0 --seconds 20
 
 Pins (the reference engine's counting statistics of every pooled
 input, committed under perfbench/pins/):
@@ -31,9 +31,11 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -55,21 +57,8 @@ import workloads  # noqa: E402
 
 WORKLOADS = ("table2", "yield-curve", "service")
 
-#: Program launches per run; ``setup_s`` is their median.
+#: Program launches per run, spread over it; ``setup_s`` is their median.
 SETUP_LAUNCHES = 5
-
-FINGERPRINT = """\
-import json, platform, numpy, scipy, repro.cli
-from repro.compiled import compiled_backend
-from repro.engines import resolve_mapping_engine
-print(json.dumps({
-    "python": platform.python_version(),
-    "numpy": numpy.__version__,
-    "scipy": scipy.__version__,
-    "compiled_backend": compiled_backend(),
-    "auto_engine": resolve_mapping_engine("auto"),
-}))
-"""
 
 
 def nproc() -> int:
@@ -97,34 +86,67 @@ def build() -> dict:
     """
     for name in ("compiled", "tmp"):
         (BUILD_DIR / name).mkdir(parents=True, exist_ok=True)
-    done = subprocess.run(
-        [sys.executable, "-c", FINGERPRINT],
-        cwd=ROOT, capture_output=True, text=True, timeout=600,
-    )
-    if done.returncode != 0:
-        raise SystemExit(f"build failed:\n{done.stderr}")
-    fingerprint = json.loads(done.stdout.splitlines()[-1])
-    fingerprint.update(cpu=cpu_model(), nproc=nproc())
-    return fingerprint
+    import platform
+
+    import numpy
+    import scipy
+
+    import repro.cli  # noqa: F401
+    from repro.compiled import compiled_backend
+    from repro.engines import resolve_mapping_engine
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "compiled_backend": compiled_backend(),
+        "auto_engine": resolve_mapping_engine("auto"),
+        "cpu": cpu_model(),
+        "nproc": nproc(),
+    }
 
 
-def cli_setup() -> tuple[list[float], list[dict]]:
-    """Launch the start-up probe; seconds until ready, and its split."""
-    times, splits = [], []
-    for _ in range(SETUP_LAUNCHES):
-        began = time.perf_counter()
+def spread(launches: int, slots: int) -> list[int]:
+    """``launches`` split as evenly as possible over ``slots``."""
+    return [launches * (i + 1) // slots - launches * i // slots for i in range(slots)]
+
+
+def launch_cli(argv: list[str], log: Path, *, split: bool = False):
+    """Launch ``repro ARGV`` through the start-up probe until it is ready.
+
+    Returns the probe unreaped, the seconds from launch to its ready
+    line, and the line.  The probe and its pool workers have exited by
+    then.  The caller reaps the probe only after it reads the peak
+    resident set, so that the peak leaves the probes out.
+    """
+    read_fd, write_fd = os.pipe()
+    command = [sys.executable, str(BENCH_DIR / "probe.py"), str(write_fd)]
+    if split:
+        command.append("--split")
+    began = time.perf_counter()
+    with log.open("ab") as stderr:
         process = subprocess.Popen(
-            [sys.executable, str(BENCH_DIR / "probe.py")],
-            cwd=ROOT, stdout=subprocess.PIPE, text=True,
+            [*command, "--", *argv], cwd=ROOT, pass_fds=(write_fd,),
+            stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True,
         )
-        line = process.stdout.readline()
-        times.append(time.perf_counter() - began)
-        process.stdout.read()
-        process.stdout.close()
-        if process.wait(timeout=120) != 0 or not line:
-            raise RuntimeError("the start-up probe failed")
-        splits.append(json.loads(line))
-    return times, splits
+    os.close(write_fd)
+    # A hung probe and its workers hold the pipe open; kill them all.
+    watchdog = threading.Timer(120, os.killpg, (process.pid, signal.SIGKILL))
+    watchdog.start()
+    with os.fdopen(read_fd, "rb") as ready:
+        line = ready.readline()
+        elapsed = time.perf_counter() - began
+        ready.read()  # to the end: every process holding the pipe has exited
+    watchdog.cancel()
+    return process, elapsed, line
+
+
+def reap(probes: list, log: Path) -> tuple[list[float], list[dict]]:
+    """Wait for every probe; their seconds to ready and their splits."""
+    codes = [process.wait(timeout=60) for process, _, _ in probes]
+    if any(codes) or not all(line for _, _, line in probes):
+        raise RuntimeError(f"a start-up probe failed (exit codes {codes}); see {log}")
+    return [elapsed for _, elapsed, _ in probes], [json.loads(line) for _, _, line in probes]
 
 
 def setup_layers(splits: list[dict]) -> dict[str, float]:
@@ -137,6 +159,13 @@ def setup_layers(splits: list[dict]) -> dict[str, float]:
 
 
 def run_cli_workload(args, scratch: Path):
+    """The workload's jobs, with its CLI command launched between them.
+
+    The launches for ``setup_s`` are spread before, between and after
+    the jobs, so that their median spans the run rather than one stretch
+    of the box's drift.  They run the workload's own subcommand on a
+    fresh store each, through ``probe.py``.
+    """
     tracer = spans.install(scratch / "spans") if args.trace else None
     # This process plays the CLI process: it pays the same start-up
     # before its first job, outside the measured loop.
@@ -144,11 +173,25 @@ def run_cli_workload(args, scratch: Path):
     from repro.compiled import get_kernels
 
     get_kernels()
+    argv = workloads.CLI_WORKLOADS[args.workload][0]
     jobs = workloads.jobs_per_run(args.workload, args.seconds)
-    outcome = workloads.run_cli(args.workload, jobs, args.seed, scratch, tracer)
-    # Probe start-up after the loop, so the peak resident set read
-    # above covers only the measured processes.
-    times, splits = cli_setup()
+    per_slot = spread(SETUP_LAUNCHES, jobs + 1)
+    log = scratch / "probe.log"
+    probes = []
+
+    def launch(slot: int) -> None:
+        for _ in range(per_slot[slot]):
+            store = scratch / f"probe-{len(probes)}.jsonl"
+            probes.append(launch_cli(argv(args.seed, store), log, split=bool(args.trace)))
+
+    try:
+        outcome = workloads.run_cli(
+            args.workload, jobs, args.seed, scratch, tracer, before_job=launch
+        )
+        launch(jobs)
+        outcome.peak_rss_mb = workloads.peak_rss_mb(include_self=True)
+    finally:
+        times, splits = reap(probes, log)
     layers = None
     if tracer is not None:
         tracer.flush()
@@ -166,7 +209,7 @@ def run_service_workload(args, scratch: Path):
     smallest change in machine speed.  Short sessions that each start
     from the same 500-record template keep every job at one store size.
     """
-    template = BUILD_DIR / "service-template.jsonl"
+    template = BUILD_DIR / f"service-template-{workloads.source_digest()}.jsonl"
     if not template.exists():
         workloads.build_service_template(template)
 
@@ -181,15 +224,22 @@ def run_service_workload(args, scratch: Path):
     log = scratch / "server.log"
     jobs = workloads.jobs_per_run("service", args.seconds)
     sessions = workloads.sessions(jobs)
+    # Each session's launch counts; the others are spread before,
+    # between and after the sessions.
+    per_slot = spread(SETUP_LAUNCHES - len(sessions), len(sessions) + 1)
     times = []
-    for _ in range(SETUP_LAUNCHES - len(sessions)):
-        process, _, elapsed = workloads.start_server(
-            argv(scratch / "launch", scratch / "launch-spans"), log
-        )
-        workloads.stop_server(process)
-        times.append(elapsed)
+
+    def launch(slot: int) -> None:
+        for _ in range(per_slot[slot]):
+            process, _, elapsed = workloads.start_server(
+                argv(scratch / "launch", scratch / "launch-spans"), log
+            )
+            workloads.stop_server(process)
+            times.append(elapsed)
+
     outcome = workloads.Outcome()
     for number, indices in enumerate(sessions):
+        launch(number)
         session = scratch / f"session-{number}"
         session.mkdir()
         shutil.copyfile(template, session / "artifacts.jsonl")
@@ -201,10 +251,15 @@ def run_service_workload(args, scratch: Path):
             workloads.drive_service(url, indices, args.seed, nproc(), outcome)
         finally:
             workloads.stop_server(process)
+    launch(len(sessions))
     outcome.peak_rss_mb = workloads.peak_rss_mb(include_self=False)
     layers = None
     if args.trace:
-        _, splits = cli_setup()
+        probe_log = scratch / "probe.log"
+        _, splits = reap(
+            [launch_cli([], probe_log, split=True) for _ in range(SETUP_LAUNCHES)],
+            probe_log,
+        )
         layers = spans.layer_metrics(
             spans.load_spans(scratch / "spans"), outcome.statuses
         )
@@ -352,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=(*WORKLOADS, "all"), default="all")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--repeat", type=int, default=0, metavar="N")
     parser.add_argument("--record-pins", choices=WORKLOADS, default=None)

@@ -19,6 +19,7 @@ the ``--seed`` argument picks where in the pool a run starts.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -250,17 +251,21 @@ CLI_WORKLOADS = {
 }
 
 
-def run_cli(workload: str, jobs: int, seed: int, scratch: Path, tracer=None) -> Outcome:
+def run_cli(
+    workload: str, jobs: int, seed: int, scratch: Path, tracer=None, before_job=None
+) -> Outcome:
     """``jobs`` CLI jobs on successive pooled seeds, each on a fresh store.
 
     Every operation (a Table II row, a curve point) is checked against
     its pin; a job that raises fails all of its operations.
+    ``before_job(index)`` runs untimed before each job.
     """
     argv, parse, samples_of = CLI_WORKLOADS[workload]
     pins = load_pins(workload)
     outcome = Outcome()
-    start = time.perf_counter()
     for index in range(jobs):
+        if before_job is not None:
+            before_job(index)
         scenario_seed = pool_seed(seed, index, POOLS[workload])
         if tracer is not None:
             tracer.op = f"job{index}-seed{scenario_seed}"
@@ -271,23 +276,34 @@ def run_cli(workload: str, jobs: int, seed: int, scratch: Path, tracer=None) -> 
             got = {}
             outcome.mismatches.append(f"seed {scenario_seed}: {error!r}")
         outcome.latencies.append(time.perf_counter() - began)
+        outcome.seconds += outcome.latencies[-1]
         for key, want in pins[str(scenario_seed)].items():
             outcome.check(f"{workload} seed {scenario_seed} {key}", got.get(key), want)
             if got.get(key) == want:
                 outcome.samples += samples_of(want)
-    outcome.seconds = time.perf_counter() - start
-    outcome.peak_rss_mb = peak_rss_mb(include_self=True)
     return outcome
 
 
 # ----------------------------------------------------------------------
 # Service
 # ----------------------------------------------------------------------
+def source_digest() -> str:
+    """Digest of every file under ``src/repro``: one per commit's program."""
+    digest = hashlib.blake2b(digest_size=8)
+    source = ROOT / "src" / "repro"
+    for path in sorted(source.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(str(path.relative_to(source)).encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def build_service_template(path: Path) -> None:
     """A store of completed records, like a long-lived deployment's.
 
-    Written once per checkout through the runner's own streaming store
-    protocol; every service run starts from a copy of it.
+    Written through the runner's own streaming store protocol, once per
+    source digest (the caller keys ``path`` on it), so every commit's
+    service runs start from a copy of a store its own code wrote.
     """
     from repro.api.artifacts import ArtifactStore
     from repro.api.runner import run_scenario
@@ -359,8 +375,9 @@ def drive_service(
 
     Each job is a distinct scenario (its name is part of the content
     hash), so no store answers it from cache even when its seed recurs
-    in the pool.  Clients poll every 10 ms; latency comes from the
-    server's own timestamps either way.
+    in the pool.  Clients wait with ``ServiceClient.wait``'s own 50-ms
+    poll, the traffic the documented client sends; latency comes from
+    the server's own timestamps, which the poll does not quantize.
     """
     from repro.service.client import ServiceClient
 
@@ -382,7 +399,7 @@ def drive_service(
             status = None
             try:
                 status = client.submit(scenario)
-                status = client.wait(status["job_id"], timeout=60, poll=0.01)
+                status = client.wait(status["job_id"], timeout=60)
                 counts = service_counts(client.result(status["job_id"]).to_dict())
                 if status["partial"]:
                     counts = "partial result"
