@@ -2,12 +2,15 @@
 
 Runs the same Table II-sized Monte-Carlo mapping experiment on the
 reference object-per-sample engine, on the batched NumPy kernel and —
-when a backend (Numba or a C compiler) is available — on the compiled
-kernel tier, verifies the counting statistics are bit-identical across
-every engine, and reports the wall-clock speedups over the reference.
-The acceptance bar for the vectorized engine is a >= 3x throughput gain
-on a Table II-sized workload (one circuit, 200 samples, 10 % uniform
-stuck-open defects, HBA + EA); the compiled tier must beat vectorized.
+when the C backend loads — on the compiled kernel tier, verifies the
+counting statistics are bit-identical across every engine, and reports
+the wall-clock speedups over the reference.  The acceptance bar for the
+vectorized engine is a >= 3x throughput gain on a Table II-sized
+workload (one circuit, 200 samples, 10 % uniform stuck-open defects,
+HBA + EA); the compiled tier must beat vectorized, which the perf gate
+checks per circuit on every recorded row.  The default circuits include
+Table II's two largest, alu4 and apex4, where EA's matching does real
+work; on rd53 and misex1 it settles in milliseconds on every tier.
 
 Standalone script so it can be pointed at any circuit / budget::
 
@@ -87,7 +90,7 @@ def bench_circuit(name: str, *, samples: int, defect_rate: float,
 
 def collect(
     *,
-    circuits=("rd53", "misex1"),
+    circuits=("rd53", "misex1", "alu4", "apex4"),
     samples=60,
     defect_rate=0.10,
     algorithms=("hybrid", "exact"),
@@ -114,8 +117,13 @@ def collect(
         "defect_rate": defect_rate,
         "seed": seed,
         "compiled_backend": compiled_backend(),
+        # Named like the row's own metrics, so the perf gate checks the
+        # compiled tier against the vectorized one circuit by circuit.
         "per_circuit": {
-            name: {engine: round(s, 2) for engine, s in gains.items()}
+            name: {
+                ("speedup" if engine == "vectorized" else "compiled_speedup"): round(s, 2)
+                for engine, s in gains.items()
+            }
             for name, gains in speedups.items()
         },
         "elapsed_seconds": round(time.perf_counter() - start, 4),
@@ -137,7 +145,8 @@ def collect(
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--circuits", nargs="+",
-                        default=["rd53", "misex1", "sqrt8", "sao2"],
+                        default=["rd53", "misex1", "sqrt8", "sao2", "alu4",
+                                 "apex4"],
                         help="benchmark circuit names")
     parser.add_argument("--samples", type=int, default=200,
                         help="Monte-Carlo sample size (default: 200, the paper's)")

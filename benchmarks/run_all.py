@@ -22,9 +22,12 @@ Typical invocations::
 
 Each trajectory file holds ``{"benchmark": ..., "runs": [...]}`` where
 every run records its UTC timestamp, the git commit it measured, the
-workload parameters and the measured metrics — performance history is
-recorded across PRs instead of living in terminal scrollback, and the
-gate is what keeps the engine tiers honest between benchmark PRs.
+machine it ran on (``machine``: CPU model, cores, Python, NumPy and
+compiled backend), the workload parameters and the measured metrics —
+performance history is recorded across PRs instead of living in
+terminal scrollback, and the gate is what keeps the engine tiers honest
+between benchmark PRs.  A row is only gated against rows of the same
+machine and workload scale.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.perf import (  # noqa: E402  (needs the sys.path bootstrap)
     compare_run,
     git_commit,
     load_trajectory,
+    machine_fingerprint,
     trajectory_path,
     update_experiments,
 )
@@ -165,6 +169,7 @@ def main() -> int:
         return 0
 
     commit = git_commit(REPO_ROOT)
+    machine = machine_fingerprint()
     gate_failures = []
     kwargs = {}
     if args.threshold is not None:
@@ -174,7 +179,7 @@ def main() -> int:
         }
     for name in args.suites:
         print(f"== {name} ==")
-        metrics = SUITES[name](args.samples)
+        metrics = {**SUITES[name](args.samples), "machine": machine}
         path = trajectory_path(RESULTS_DIR, name)
         if args.compare:
             history = load_trajectory(path, name=name)["runs"]
@@ -207,13 +212,9 @@ def main() -> int:
         if os.environ.get("GITHUB_ACTIONS"):
             for result in gate_failures:
                 for verdict in result.failures:
-                    change = verdict.change
                     print(
                         f"::warning title=perf gate ({result.benchmark})::"
-                        f"{verdict.metric} regressed "
-                        f"{change:+.1%} vs median baseline "
-                        f"{verdict.baseline:.4g} "
-                        f"(limit ±{verdict.threshold:.0%})"
+                        f"{verdict.describe().strip()}"
                     )
         if not args.soft:
             return 1

@@ -1,39 +1,35 @@
-"""Optional compiled backends for the two hot kernels.
+"""Optional compiled backend for the hot kernels.
 
 The vectorized NumPy engines (``repro.mapping.batch_kernel`` and
 ``repro.boolean.packed``) still fall back to per-sample / per-cube
 Python loops for the work their counting pre-screens cannot decide.
-This package compiles exactly those loops:
+This package compiles exactly those loops, plus the tensor they read:
 
+* the compatibility tensor, bit-packed into ``uint64`` column words
+  instead of a BLAS matmul;
 * the built-in mapper replicas (exact saturating matching, greedy /
-  hybrid first-fit with one-step backtracking) over the shared
-  compatibility tensor, batched across all undecided samples in one
-  native call;
+  hybrid first-fit with one-step backtracking) over that tensor,
+  batched across all undecided samples in one native call;
 * the distance-1 cube-merge pass of the packed Boolean minimiser.
 
-Two interchangeable backends implement the same kernel contract:
+One backend implements them, ``"cext"``: :mod:`repro.compiled._kernels.c`
+built once with the system C compiler into a cached shared library and
+driven through :mod:`ctypes` (no build-time dependency beyond ``cc``).
+:mod:`repro.compiled._kernels_py` is its plain-Python oracle, run only
+by the test suite.
 
-``"numba"``
-    :mod:`repro.compiled._kernels_py` jitted with Numba, used whenever
-    ``numba`` is importable.
-``"cext"``
-    :mod:`repro.compiled._kernels.c` built once with the system C
-    compiler into a cached shared library and driven through
-    :mod:`ctypes` (no build-time dependency beyond ``cc``).
-
-When neither is available the compiled tier is simply *absent*:
+When the backend cannot load the compiled tier is simply *absent*:
 :func:`compiled_available` returns ``False`` and
 ``repro.engines.resolve_mapping_engine`` degrades ``"compiled"`` /
-``"auto"`` to the NumPy tier without error.  All backends are held to
-the same sample-for-sample differential contract as the NumPy engines
+``"auto"`` to the NumPy tier without error.  The backend is held to the
+same sample-for-sample differential contract as the NumPy engines
 (``tests/test_compiled_engine.py``), so counting statistics never
-depend on which backend — if any — is present.
+depend on whether it is present.
 
 The probe can be steered with the ``REPRO_COMPILED`` environment
 variable: ``off`` (also ``0`` / ``false`` / ``none`` / ``disabled``)
-hides the tier entirely, ``numba`` / ``cext`` restricts the probe to
-one backend, anything else (including unset) probes Numba first, then
-the C extension.
+hides the tier entirely; anything else (``cext``, or unset) probes the
+C extension.
 """
 
 from __future__ import annotations
@@ -54,26 +50,16 @@ _BACKEND = _UNSET
 
 
 def _probe():
-    """Detect the fastest available backend (numba, then the C ext)."""
-    choice = os.environ.get("REPRO_COMPILED", "auto").strip().lower() or "auto"
+    """Load the C extension unless ``REPRO_COMPILED`` turns it off."""
+    choice = os.environ.get("REPRO_COMPILED", "").strip().lower()
     if choice in ("off", "0", "false", "none", "disabled"):
         return None, None
-    if choice in ("auto", "numba"):
-        try:
-            from repro.compiled import numba_backend
+    try:
+        from repro.compiled import cext
 
-            return "numba", numba_backend.kernels()
-        except Exception:
-            if choice == "numba":
-                return None, None
-    if choice in ("auto", "cext"):
-        try:
-            from repro.compiled import cext
-
-            return "cext", cext.kernels()
-        except Exception:
-            pass
-    return None, None
+        return "cext", cext.kernels()
+    except Exception:
+        return None, None
 
 
 def _ensure():
@@ -84,7 +70,7 @@ def _ensure():
 
 
 def compiled_backend() -> str | None:
-    """Name of the active backend (``"numba"`` / ``"cext"``) or ``None``."""
+    """Name of the active backend (``"cext"``) or ``None``."""
     return _ensure()[0]
 
 
@@ -96,10 +82,11 @@ def compiled_available() -> bool:
 def get_kernels():
     """The loaded kernel object, or ``None`` when no backend is usable.
 
-    The object exposes ``backend`` (name), ``map_builtin_batch(compat,
-    closed, num_minterms, kind=..., check_validity=...)`` and
-    ``merge_distance_one(values)`` — see the backend modules for the
-    exact array contracts.
+    The object exposes ``backend`` (name), ``compatibility_tensor(fm_rows,
+    cm_stack)``, ``map_builtin_batch(compat, closed, num_minterms,
+    kind=..., check_validity=...)`` and ``merge_distance_one(values)`` —
+    see :mod:`repro.compiled.cext` and the oracle module for the exact
+    array contracts.
     """
     return _ensure()[1]
 

@@ -1,11 +1,12 @@
 /* Native kernels for the ``engine="compiled"`` tier.
  *
- * Mirrors repro/compiled/_kernels_py.py function for function; that
- * module documents the array contracts and the parity obligations
- * (decision-for-decision replicas of the NumPy engines' inner loops).
- * Built by repro/compiled/cext.py with the system C compiler into a
- * cached shared library and driven through ctypes — no Python.h, so
- * any plain `cc -O2 -fPIC -shared` works.
+ * The matching and merge kernels mirror repro/compiled/_kernels_py.py
+ * function for function; that module documents the array contracts
+ * and the parity obligations.  The compatibility tensor is held to
+ * repro.mapping.matching.compatibility_tensor, the NumPy tier's
+ * implementation.  Built by repro/compiled/cext.py with the system C
+ * compiler into a cached shared library and driven through ctypes —
+ * no Python.h, so any plain `cc -O2 -fPIC -shared` works.
  */
 
 #include <stdint.h>
@@ -18,60 +19,83 @@
 
 #define DONT_CARE 2
 
-/* One Kuhn augmenting-path search from `root` (iterative DFS).
- * adj is num_left x num_right row-major; `allowed` additionally
- * restricts the usable right nodes (the free-row mask of the output
- * stage); stack_* / via are caller-provided scratch of num_right + 2. */
+/* First right node of `row` that is allowed and unmatched, or -1. */
+static int64_t first_free(const uint8_t *row, int64_t num_right,
+                          const uint8_t *allowed, const int64_t *match_right) {
+    for (int64_t h = 0; h < num_right; h++)
+        if (row[h] && allowed[h] && match_right[h] < 0)
+            return h;
+    return -1;
+}
+
+/* One augmenting-path search from `root` (iterative DFS).  Each left
+ * row on the path is first scanned for a free allowed right node, so a
+ * path ends as soon as one is adjacent; only then does the search
+ * descend through the matched ones.  adj is num_left x num_right
+ * row-major; `allowed` additionally restricts the usable right nodes
+ * (the free-row mask of the output stage); stack_* / via are
+ * caller-provided scratch of num_right + 2. */
 static int try_augment(const uint8_t *adj, int64_t num_right,
                        const uint8_t *allowed, int64_t *match_right,
                        uint8_t *visited, int64_t root, int64_t *stack_left,
                        int64_t *stack_pos, int64_t *via) {
     int64_t top = 0;
     stack_left[0] = root;
-    stack_pos[0] = 0;
+    stack_pos[0] = -1;
     while (top >= 0) {
         int64_t left = stack_left[top];
         int64_t h = stack_pos[top];
         const uint8_t *row = adj + left * num_right;
-        int descended = 0;
-        while (h < num_right) {
-            if (row[h] && !visited[h] && allowed[h]) {
-                visited[h] = 1;
-                if (match_right[h] < 0) {
-                    /* Augmenting path found: flip matches along it. */
-                    match_right[h] = left;
-                    for (int64_t t = top - 1; t >= 0; t--)
-                        match_right[via[t]] = stack_left[t];
-                    return 1;
-                }
-                stack_pos[top] = h + 1;
-                via[top] = h;
-                top++;
-                stack_left[top] = match_right[h];
-                stack_pos[top] = 0;
-                descended = 1;
-                break;
+        if (h < 0) {
+            int64_t free_h = first_free(row, num_right, allowed, match_right);
+            if (free_h >= 0) {
+                /* Augmenting path found: flip matches along it. */
+                match_right[free_h] = left;
+                for (int64_t t = top - 1; t >= 0; t--)
+                    match_right[via[t]] = stack_left[t];
+                return 1;
             }
-            h++;
+            h = 0;
         }
-        if (descended)
+        /* Every allowed neighbour of `left` is matched: descend. */
+        while (h < num_right && !(row[h] && allowed[h] && !visited[h]))
+            h++;
+        if (h == num_right) {
+            top--;
             continue;
-        top--;
+        }
+        visited[h] = 1;
+        stack_pos[top] = h + 1;
+        via[top] = h;
+        top++;
+        stack_left[top] = match_right[h];
+        stack_pos[top] = -1;
     }
     return 0;
 }
 
-/* Whether every left row of adj can be matched (rows in order). */
+/* Whether every left row of adj can be matched: a greedy first-free
+ * pass, then one augmenting search per row it left unmatched.
+ * `pending` is scratch of num_left. */
 static int saturating(const uint8_t *adj, int64_t num_left, int64_t num_right,
                       const uint8_t *allowed, int64_t *match_right,
                       uint8_t *visited, int64_t *stack_left,
-                      int64_t *stack_pos, int64_t *via) {
+                      int64_t *stack_pos, int64_t *via, int64_t *pending) {
+    int64_t num_pending = 0;
     for (int64_t h = 0; h < num_right; h++)
         match_right[h] = -1;
     for (int64_t left = 0; left < num_left; left++) {
+        int64_t h = first_free(adj + left * num_right, num_right, allowed,
+                               match_right);
+        if (h >= 0)
+            match_right[h] = left;
+        else
+            pending[num_pending++] = left;
+    }
+    for (int64_t k = 0; k < num_pending; k++) {
         memset(visited, 0, (size_t)num_right);
-        if (!try_augment(adj, num_right, allowed, match_right, visited, left,
-                         stack_left, stack_pos, via))
+        if (!try_augment(adj, num_right, allowed, match_right, visited,
+                         pending[k], stack_left, stack_pos, via))
             return 0;
     }
     return 1;
@@ -96,12 +120,15 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
     uint8_t *free_row = malloc((size_t)num_rows);
     int64_t *owner = malloc((size_t)num_rows * sizeof(int64_t));
     int64_t *assigned = malloc((size_t)num_fm_rows * sizeof(int64_t));
+    int64_t *pending = malloc((size_t)num_fm_rows * sizeof(int64_t));
     uint8_t *seen = malloc((size_t)num_rows);
     if (!allowed_all || !match_right || !visited || !stack_left ||
-        !stack_pos || !via || !free_row || !owner || !assigned || !seen) {
+        !stack_pos || !via || !free_row || !owner || !assigned ||
+        !pending || !seen) {
         free(allowed_all); free(match_right); free(visited);
         free(stack_left); free(stack_pos); free(via);
-        free(free_row); free(owner); free(assigned); free(seen);
+        free(free_row); free(owner); free(assigned); free(pending);
+        free(seen);
         return -1;
     }
     memset(allowed_all, 1, (size_t)num_rows);
@@ -117,7 +144,7 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
             success[s] = (uint8_t)saturating(adj, num_fm_rows, num_rows,
                                              allowed_all, match_right,
                                              visited, stack_left, stack_pos,
-                                             via);
+                                             via, pending);
             continue;
         }
 
@@ -185,7 +212,7 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
                 continue;
             if (!saturating(adj + num_minterms * num_rows, num_outputs,
                             num_rows, free_row, match_right, visited,
-                            stack_left, stack_pos, via))
+                            stack_left, stack_pos, via, pending))
                 continue;
             for (int64_t h = 0; h < num_rows; h++)
                 if (match_right[h] >= 0)
@@ -209,7 +236,76 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
 
     free(allowed_all); free(match_right); free(visited);
     free(stack_left); free(stack_pos); free(via);
-    free(free_row); free(owner); free(assigned); free(seen);
+    free(free_row); free(owner); free(assigned); free(pending);
+    free(seen);
+    return 0;
+}
+
+/* Pack each row's set cells into uint64 column words, word-major: bit c
+ * of out[w * rows + r] is column 64 w + c of row r.  Each word is XORed
+ * with `flip`, so all ones packs the zero cells instead. */
+static void pack_rows(const uint8_t *cells, int64_t rows, int64_t columns,
+                      int64_t words, uint64_t flip, uint64_t *out) {
+    for (int64_t r = 0; r < rows; r++) {
+        const uint8_t *row = cells + r * columns;
+        for (int64_t w = 0; w < words; w++) {
+            int64_t lo = w * 64;
+            int64_t width = columns - lo < 64 ? columns - lo : 64;
+            uint64_t word = 0;
+            for (int64_t c = 0; c < width; c++)
+                word |= (uint64_t)(row[lo + c] != 0) << c;
+            uint64_t valid = width == 64 ? ~(uint64_t)0
+                                         : ((uint64_t)1 << width) - 1;
+            out[w * rows + r] = word ^ (flip & valid);
+        }
+    }
+}
+
+/* The compatibility tensor: out[s, r, h] = 1 iff crossbar row h of
+ * sample s has every device FM row r needs (fm_row & missing == 0 on
+ * the packed column words).  fm: num_fm_rows x num_columns, cm:
+ * num_samples x num_rows x num_columns, out: num_samples x num_fm_rows
+ * x num_rows, all uint8 row-major.  Returns 0, or -1 on allocation
+ * failure. */
+int repro_compatibility_tensor(const uint8_t *fm, const uint8_t *cm,
+                               int64_t num_samples, int64_t num_fm_rows,
+                               int64_t num_rows, int64_t num_columns,
+                               uint8_t *out) {
+    int64_t words = (num_columns + 63) / 64;
+    /* One spare word each, so an empty matrix never asks for malloc(0). */
+    uint64_t *need = malloc((size_t)(num_fm_rows * words + 1) * sizeof(uint64_t));
+    uint64_t *missing = malloc((size_t)(num_rows * words + 1) * sizeof(uint64_t));
+    uint64_t *clash = malloc((size_t)(num_rows + 1) * sizeof(uint64_t));
+    if (!need || !missing || !clash) {
+        free(need); free(missing); free(clash);
+        return -1;
+    }
+    pack_rows(fm, num_fm_rows, num_columns, words, 0, need);
+    for (int64_t s = 0; s < num_samples; s++) {
+        pack_rows(cm + s * num_rows * num_columns, num_rows, num_columns,
+                  words, ~(uint64_t)0, missing);
+        uint8_t *fits = out + s * num_fm_rows * num_rows;
+        for (int64_t r = 0; r < num_fm_rows; r++, fits += num_rows) {
+            if (words == 1) {
+                uint64_t needed = need[r];
+                for (int64_t h = 0; h < num_rows; h++)
+                    fits[h] = (needed & missing[h]) == 0;
+                continue;
+            }
+            /* Word by word over all crossbar rows: contiguous loops. */
+            memset(clash, 0, (size_t)num_rows * sizeof(uint64_t));
+            for (int64_t w = 0; w < words; w++) {
+                uint64_t needed = need[w * num_fm_rows + r];
+                const uint64_t *lacks = missing + w * num_rows;
+                if (needed)
+                    for (int64_t h = 0; h < num_rows; h++)
+                        clash[h] |= needed & lacks[h];
+            }
+            for (int64_t h = 0; h < num_rows; h++)
+                fits[h] = clash[h] == 0;
+        }
+    }
+    free(need); free(missing); free(clash);
     return 0;
 }
 

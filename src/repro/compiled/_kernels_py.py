@@ -1,16 +1,12 @@
-"""Portable loop-level kernel implementations (the Numba jit targets).
+"""Plain-Python oracle of the native kernels in ``_kernels.c``.
 
-These functions mirror, decision for decision, the per-sample mapper
-replicas of :mod:`repro.mapping.batch_kernel` (``_replica_exact`` /
-``_replica_hybrid``) and the distance-1 merge pass of
-:mod:`repro.boolean.packed` (``_merge_distance_one_values``) — but as
-plain element loops over preallocated arrays, restricted to the subset
-of Python that Numba's nopython mode compiles.
-
-When ``numba`` is importable every function below is ``@njit``-ed and
-this module *is* the ``"numba"`` backend's implementation.  Without
-``numba`` the same code runs as ordinary (slow) Python, which the test
-suite uses as a backend-independent oracle for the C extension.
+These functions mirror the C kernels loop for loop: the per-sample
+mapper replicas of :mod:`repro.mapping.batch_kernel` (``_replica_exact``
+/ ``_replica_hybrid``) and the distance-1 merge pass of
+:mod:`repro.boolean.packed` (``_merge_distance_one_values``), written as
+element loops over preallocated arrays.  They are slow, and nothing
+outside the test suite runs them: the suite holds the C backend to this
+module sample for sample, and this module to the NumPy replicas.
 
 Array contracts (all C-contiguous):
 
@@ -31,22 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    NUMBA_AVAILABLE = False
-
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 #: Mapper modes (must match ``MODE_*`` in ``_kernels.c``).
 MODE_EXACT = 0
@@ -56,66 +36,88 @@ MODE_HYBRID = 2
 _DONT_CARE = 2  # repro.boolean.cube.DONT_CARE
 
 
-@_njit(cache=True)
+def _first_free(row, allowed, match_right):
+    """First right node of ``row`` that is allowed and unmatched, or -1."""
+    for h in range(row.shape[0]):
+        if row[h] != 0 and allowed[h] != 0 and match_right[h] < 0:
+            return h
+    return -1
+
+
 def _try_augment(adj, allowed, match_right, visited, root, stack_left,
                  stack_pos, via):
-    """One Kuhn augmenting-path search from ``root`` (iterative DFS)."""
+    """One augmenting-path search from ``root`` (iterative DFS).
+
+    Each left row on the path is first scanned for a free allowed right
+    node, so a path ends as soon as one is adjacent; only then does the
+    search descend through the matched ones.
+    """
     num_right = adj.shape[1]
     top = 0
     stack_left[0] = root
-    stack_pos[0] = 0
+    stack_pos[0] = -1
     while top >= 0:
         left = stack_left[top]
         h = stack_pos[top]
-        descended = False
-        while h < num_right:
-            if adj[left, h] != 0 and visited[h] == 0 and allowed[h] != 0:
-                visited[h] = 1
-                if match_right[h] < 0:
-                    # Augmenting path found: flip the matches along it.
-                    match_right[h] = left
-                    t = top - 1
-                    while t >= 0:
-                        match_right[via[t]] = stack_left[t]
-                        t -= 1
-                    return True
-                stack_pos[top] = h + 1
-                via[top] = h
-                top += 1
-                stack_left[top] = match_right[h]
-                stack_pos[top] = 0
-                descended = True
-                break
+        if h < 0:
+            free_h = _first_free(adj[left], allowed, match_right)
+            if free_h >= 0:
+                # Augmenting path found: flip the matches along it.
+                match_right[free_h] = left
+                t = top - 1
+                while t >= 0:
+                    match_right[via[t]] = stack_left[t]
+                    t -= 1
+                return True
+            h = 0
+        # Every allowed neighbour of `left` is matched: descend.
+        while h < num_right and not (
+            adj[left, h] != 0 and allowed[h] != 0 and visited[h] == 0
+        ):
             h += 1
-        if descended:
+        if h == num_right:
+            top -= 1
             continue
-        top -= 1
+        visited[h] = 1
+        stack_pos[top] = h + 1
+        via[top] = h
+        top += 1
+        stack_left[top] = match_right[h]
+        stack_pos[top] = -1
     return False
 
 
-@_njit(cache=True)
 def _saturating(adj, allowed, match_right, visited, stack_left, stack_pos,
-                via):
-    """Whether every left row of ``adj`` can be matched (rows in order).
+                via, pending):
+    """Whether every left row of ``adj`` can be matched.
 
-    Existence-equivalent to the Hopcroft-Karp / Munkres probes of the
-    NumPy engine: a saturating matching either exists or it does not,
-    regardless of which maximum matching a given algorithm returns.
+    A greedy first-free pass, then one augmenting search per row it left
+    unmatched.  Existence-equivalent to the Hopcroft-Karp / Munkres
+    probes of the NumPy engine: a saturating matching either exists or
+    it does not, regardless of which maximum matching a given algorithm
+    returns.
     """
     num_left = adj.shape[0]
     num_right = adj.shape[1]
     for h in range(num_right):
         match_right[h] = -1
+    num_pending = 0
     for left in range(num_left):
+        h = _first_free(adj[left], allowed, match_right)
+        if h >= 0:
+            match_right[h] = left
+        else:
+            pending[num_pending] = left
+            num_pending += 1
+    for k in range(num_pending):
         for h in range(num_right):
             visited[h] = 0
-        if not _try_augment(adj, allowed, match_right, visited, left,
+        if not _try_augment(adj, allowed, match_right, visited, pending[k],
                             stack_left, stack_pos, via):
             return False
     return True
 
 
-@_njit(cache=True)
 def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
     """Run one built-in mapper over every undecided sample of a batch."""
     num_samples = compat.shape[0]
@@ -134,6 +136,7 @@ def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
     free = np.empty(num_rows, dtype=np.uint8)
     owner = np.empty(num_rows, dtype=np.int64)
     assigned = np.empty(num_fm_rows, dtype=np.int64)
+    pending = np.empty(num_fm_rows, dtype=np.int64)
     seen = np.empty(num_rows, dtype=np.uint8)
 
     for s in range(num_samples):
@@ -142,7 +145,7 @@ def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
             # ExactMapper: success iff the FM rows admit a saturating
             # matching; it never backtracks and always validates.
             ok = _saturating(adj, allowed_all, match_right, visited,
-                             stack_left, stack_pos, via)
+                             stack_left, stack_pos, via, pending)
             success[s] = 1 if ok else 0
             continue
 
@@ -204,7 +207,7 @@ def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
                 success[s] = 0
                 continue
             if not _saturating(adj[num_minterms:], free, match_right,
-                               visited, stack_left, stack_pos, via):
+                               visited, stack_left, stack_pos, via, pending):
                 success[s] = 0
                 continue
             for h in range(num_rows):
@@ -225,7 +228,6 @@ def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
     return success, backtracks, valid
 
 
-@_njit(cache=True)
 def merge_distance_one(values):
     """The packed minimiser's distance-1 merge pass, loop for loop.
 

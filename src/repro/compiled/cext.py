@@ -102,11 +102,25 @@ def _load(lib_path: Path) -> ctypes.CDLL:
         _U8, _I64, _U8,
     ]
     lib.repro_map_builtin_batch.restype = ctypes.c_int
+    lib.repro_compatibility_tensor.argtypes = [
+        _U8, _U8,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        _U8,
+    ]
+    lib.repro_compatibility_tensor.restype = ctypes.c_int
     lib.repro_merge_distance_one.argtypes = [
         _U8, ctypes.c_int64, ctypes.c_int64, _U8,
     ]
     lib.repro_merge_distance_one.restype = ctypes.c_int64
     return lib
+
+
+def _as_u8(array) -> np.ndarray:
+    """A C-contiguous uint8 view of a 0/1 array (bool is viewed, not copied)."""
+    array = np.ascontiguousarray(array)
+    if array.dtype == np.bool_:
+        return array.view(np.uint8)
+    return array.astype(np.uint8, copy=False)
 
 
 class CKernels:
@@ -119,9 +133,16 @@ class CKernels:
 
     def map_builtin_batch(self, compat, closed, num_minterms, *, kind,
                           check_validity):
-        compat = np.ascontiguousarray(compat, dtype=np.uint8)
-        closed = np.ascontiguousarray(closed, dtype=np.uint8)
+        compat = _as_u8(compat)
+        closed = _as_u8(closed)
         num_samples, num_fm_rows, num_rows = compat.shape
+        if closed.shape != (num_samples, num_rows):
+            raise ValueError(
+                f"closed mask {closed.shape} does not match the tensor "
+                f"{compat.shape}"
+            )
+        if not 0 <= num_minterms <= num_fm_rows:
+            raise ValueError(f"{num_minterms} minterm rows of {num_fm_rows}")
         success = np.zeros(num_samples, dtype=np.uint8)
         backtracks = np.zeros(num_samples, dtype=np.int64)
         valid = np.ones(num_samples, dtype=np.uint8)
@@ -138,8 +159,35 @@ class CKernels:
             raise MemoryError("repro_map_builtin_batch scratch allocation")
         return success, backtracks, valid
 
+    def compatibility_tensor(self, fm_rows, cm_stack):
+        """Boolean ``(samples, fm_rows, rows)`` tensor, bit-packed in C.
+
+        Same contract as the NumPy tier's
+        :func:`repro.mapping.matching.compatibility_tensor`, without a
+        BLAS call.
+        """
+        fm_rows = _as_u8(fm_rows)
+        cm_stack = _as_u8(cm_stack)
+        num_fm_rows, num_columns = fm_rows.shape
+        num_samples, num_rows, cm_columns = cm_stack.shape
+        if cm_columns != num_columns:
+            raise ValueError(
+                f"column count mismatch: FM has {num_columns}, CM stack "
+                f"has {cm_columns}"
+            )
+        out = np.empty((num_samples, num_fm_rows, num_rows), dtype=bool)
+        status = self._lib.repro_compatibility_tensor(
+            fm_rows.ctypes.data_as(_U8),
+            cm_stack.ctypes.data_as(_U8),
+            num_samples, num_fm_rows, num_rows, num_columns,
+            out.ctypes.data_as(_U8),
+        )
+        if status != 0:
+            raise MemoryError("repro_compatibility_tensor scratch allocation")
+        return out
+
     def merge_distance_one(self, values):
-        values = np.ascontiguousarray(values, dtype=np.uint8)
+        values = _as_u8(values)
         num_cubes, num_inputs = values.shape
         out = np.empty((num_cubes, num_inputs), dtype=np.uint8)
         count = self._lib.repro_merge_distance_one(
@@ -152,11 +200,14 @@ class CKernels:
 
 
 def kernels() -> CKernels:
-    """Build + load the library and smoke-test both entry points."""
+    """Build + load the library and smoke-test every entry point."""
     backend = CKernels(_load(build_library()))
     # A trivial call per kernel so a broken build surfaces at probe
     # time, not deep inside an experiment.
-    compat = np.ones((1, 1, 1), dtype=np.uint8)
+    compat = backend.compatibility_tensor(
+        np.ones((1, 1), dtype=np.uint8), np.ones((1, 1, 1), dtype=np.uint8)
+    )
+    assert compat.tolist() == [[[True]]]
     closed = np.zeros((1, 1), dtype=np.uint8)
     success, backtracks, valid = backend.map_builtin_batch(
         compat, closed, 1, kind="hybrid", check_validity=True

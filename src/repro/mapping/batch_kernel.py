@@ -342,8 +342,9 @@ def _run_builtin_mappers(
     """Pre-screen and map all built-in mappers; returns shared stage time.
 
     ``kernels`` is the loaded :mod:`repro.compiled` backend (or
-    ``None``): when given, every mapper's undecided samples are settled
-    by one native batch call instead of the per-sample NumPy replicas.
+    ``None``): when given, it also builds the compatibility tensor, and
+    every mapper's undecided samples are settled by one native batch
+    call instead of the per-sample NumPy replicas.
     """
     num_minterms = fm.num_minterm_rows
     num_rows_needed = fm.num_rows
@@ -359,10 +360,12 @@ def _run_builtin_mappers(
         idx = active[lo : lo + sub_size]
 
         shared_start = time.perf_counter()
-        compat = compatibility_tensor(fm.matrix, batch.functional[idx])
+        compat = compatibility_tensor(
+            fm.matrix, batch.functional[idx], kernels=kernels
+        )
         # Rows poisoned by stuck-closed defects can never host anything.
-        compat &= ~batch.closed_rows[idx][:, :, None]
-        degrees = compat.sum(axis=1, dtype=np.int64)
+        compat &= ~batch.closed_rows[idx][:, None, :]
+        degrees = compat.sum(axis=2, dtype=np.int64)
         minterm_deg = degrees[:, :num_minterms]
         output_deg = degrees[:, num_minterms:]
 
@@ -396,16 +399,11 @@ def _run_builtin_mappers(
             undecided = np.flatnonzero(~accept & ~reject)
             if kernels is not None and undecided.size:
                 kernel_start = time.perf_counter()
-                # (U, F, H) row-contiguous per FM row, like the
-                # replicas' compat_rows view — one native call settles
-                # every undecided sample of this mapper.
-                sub_compat = np.ascontiguousarray(
-                    np.transpose(compat[undecided], (0, 2, 1)),
-                    dtype=np.uint8,
-                )
+                # One native call settles every undecided sample of
+                # this mapper.
                 closed = batch.closed_rows[idx[undecided]]
                 success, backtracks, valid = kernels.map_builtin_batch(
-                    sub_compat,
+                    compat[undecided],
                     closed,
                     num_minterms,
                     kind=kind,
@@ -429,8 +427,7 @@ def _run_builtin_mappers(
                 offset = int(idx[k])
                 sample_start = time.perf_counter()
                 usable_rows = np.flatnonzero(~batch.closed_rows[offset])
-                # Row-contiguous (R, H) view: replicas index by FM row.
-                compat_rows = np.ascontiguousarray(compat[k].T)
+                compat_rows = compat[k]
                 if kind == "exact":
                     success, backtracks, valid = _replica_exact(
                         compat_rows, usable_rows

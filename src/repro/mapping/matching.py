@@ -59,16 +59,21 @@ def compatibility_matrix(
 
 
 def compatibility_tensor(
-    fm_rows: np.ndarray, cm_stack: np.ndarray
+    fm_rows: np.ndarray, cm_stack: np.ndarray, *, kernels=None
 ) -> np.ndarray:
     """Batched :func:`compatibility_matrix` over a stack of crossbars.
 
     ``fm_rows`` is the ``(R, C)`` function matrix, ``cm_stack`` a
     ``(samples, H, C)`` stack of crossbar matrices; the result is the
-    boolean ``(samples, H, R)`` tensor ``[s, h, r]`` = crossbar row ``h``
-    of sample ``s`` can host FM row ``r``.  One broadcasted matmul
-    replaces the per-sample ``fm & ~cm`` einsum, which is where the
-    vectorized Monte-Carlo engine gets its throughput.
+    boolean ``(samples, R, H)`` tensor ``[s, r, h]`` = crossbar row ``h``
+    of sample ``s`` can host FM row ``r``, laid out one FM row at a
+    time as the mappers scan it.  One broadcasted matmul replaces the
+    per-sample ``fm & ~cm`` einsum, which is where the vectorized
+    Monte-Carlo engine gets its throughput.
+
+    ``kernels`` is a loaded :mod:`repro.compiled` backend; when given,
+    the tensor is built by its bit-packed native kernel instead of the
+    float32 BLAS matmul (identical result, no BLAS threads).
     """
     fm_rows = np.asarray(fm_rows)
     cm_stack = np.asarray(cm_stack)
@@ -82,12 +87,14 @@ def compatibility_tensor(
             f"column count mismatch: FM has {fm_rows.shape[1]}, CM stack "
             f"has {cm_stack.shape[2]}"
         )
-    # conflicts[s, h, r] — number of devices FM row r needs that CM row h
+    if kernels is not None:
+        return kernels.compatibility_tensor(fm_rows, cm_stack)
+    # conflicts[s, r, h] — number of devices FM row r needs that CM row h
     # of sample s misses; float32 matmul hits BLAS and the counts (< 2^24)
     # stay exact.
     missing = (cm_stack == 0).astype(np.float32)
     needed = (fm_rows != 0).astype(np.float32)
-    conflicts = missing @ needed.T
+    conflicts = needed @ missing.transpose(0, 2, 1)
     return conflicts == 0
 
 

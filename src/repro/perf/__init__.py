@@ -27,6 +27,7 @@ from repro.perf.trajectory import (
     append_run,
     git_commit,
     load_trajectory,
+    machine_fingerprint,
     trajectory_path,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "git_commit",
     "infer_metric_specs",
     "load_trajectory",
+    "machine_fingerprint",
     "render_trends",
     "trajectory_path",
     "trend_table",

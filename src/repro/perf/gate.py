@@ -23,6 +23,16 @@ not 5 % jitter.  Metrics missing from some history rows are tolerated
 (the median uses the rows that have them); a metric with *no* recorded
 baseline — the first run of a new suite or a newly added metric —
 passes with a ``no-baseline`` verdict instead of failing the build.
+
+One check needs no history, because ``engine="auto"`` picks the
+compiled tier wherever it loads: the compiled tier must not be slower
+than the NumPy tier.  Wherever a row carries both ``speedup`` (the NumPy
+tier) and ``compiled_speedup`` — at the top level and in each
+``per_circuit`` entry — it fails when ``compiled_speedup < speedup * (1
+- threshold)``, with the speedup threshold.  Per circuit, because a
+mean over circuits hides a cliff on one of them; with the threshold,
+because tiers that tie (the Boolean tiers differ only in one merge
+pass) must not fail on noise.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ SCALE_KEYS = (
     "defect_rate",
     "strategy",
     "extra_rows",
+    "machine",
 )
 
 
@@ -132,6 +143,9 @@ class MetricVerdict:
     baseline: float | None  # median of the history window, None = no data
     baseline_count: int  # history rows that carried the metric
     status: str  # "ok", "fail" or "no-baseline"
+    #: Set when the baseline is another metric of the same row instead
+    #: of the history (the cross-tier check).
+    versus: str | None = None
 
     @property
     def change(self) -> float | None:
@@ -145,6 +159,11 @@ class MetricVerdict:
         arrow = "↓ better" if self.direction == "lower" else "↑ better"
         if self.baseline is None:
             detail = "no baseline yet"
+        elif self.versus is not None:
+            detail = (
+                f"vs {self.versus} {self.baseline:.4g} of the same row, "
+                f"change {self.change:+.1%} (limit -{self.threshold:.0%})"
+            )
         else:
             change = self.change
             detail = (
@@ -187,6 +206,41 @@ class GateResult:
         return "\n".join([header] + [v.describe() for v in self.verdicts])
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def cross_tier_verdicts(metrics: dict, threshold: float) -> list[MetricVerdict]:
+    """``compiled_speedup`` against ``speedup`` in the row and per circuit."""
+    scopes = [("", metrics)]
+    per_circuit = metrics.get("per_circuit")
+    if isinstance(per_circuit, dict):
+        scopes += [
+            (f"per_circuit.{name}.", entry)
+            for name, entry in per_circuit.items()
+            if isinstance(entry, dict)
+        ]
+    verdicts = []
+    for prefix, scope in scopes:
+        compiled, numpy_tier = scope.get("compiled_speedup"), scope.get("speedup")
+        if not (_number(compiled) and _number(numpy_tier)):
+            continue
+        failed = compiled < numpy_tier * (1 - threshold)
+        verdicts.append(
+            MetricVerdict(
+                metric=prefix + "compiled_speedup",
+                direction="higher",
+                current=float(compiled),
+                threshold=threshold,
+                baseline=float(numpy_tier),
+                baseline_count=1,
+                status="fail" if failed else "ok",
+                versus="speedup",
+            )
+        )
+    return verdicts
+
+
 def compare_run(
     metrics: dict,
     history: list[dict],
@@ -203,9 +257,11 @@ def compare_run(
     ``history`` is the trajectory's ``runs`` list (oldest first), *not*
     including the fresh row.  ``window`` caps how far back the baseline
     looks; rows lacking a given metric are skipped for that metric.
-    Rows recorded at a different workload scale (see
-    :func:`comparable_history`) are excluded entirely; pass
-    ``scale_keys=None`` to gate against the raw history.
+    Rows recorded at a different workload scale or on another machine
+    (see :func:`comparable_history`) are excluded entirely; pass
+    ``scale_keys=None`` to gate against the raw history.  The
+    cross-tier check (:func:`cross_tier_verdicts`) runs last, with
+    ``speedup_threshold``.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -220,13 +276,10 @@ def compare_run(
     result = GateResult(benchmark=benchmark, window=window)
     for spec in specs:
         current = metrics.get(spec.name)
-        if isinstance(current, bool) or not isinstance(current, (int, float)):
+        if not _number(current):
             continue
         values = [
-            row[spec.name]
-            for row in history
-            if isinstance(row.get(spec.name), (int, float))
-            and not isinstance(row.get(spec.name), bool)
+            row[spec.name] for row in history if _number(row.get(spec.name))
         ][-window:]
         if not values:
             result.verdicts.append(
@@ -257,4 +310,5 @@ def compare_run(
                 status="fail" if failed else "ok",
             )
         )
+    result.verdicts += cross_tier_verdicts(metrics, speedup_threshold)
     return result

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import tempfile
 from datetime import datetime, timezone
@@ -106,3 +107,36 @@ def git_commit(root: str | Path | None = None) -> str:
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return result.stdout.strip() or "unknown"
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown cpu"
+
+
+def machine_fingerprint() -> str:
+    """The machine a run measured: CPU model, cores, Python, NumPy, backend.
+
+    ``run_all.py`` stores it as each row's ``machine``, a scale key of
+    :mod:`repro.perf.gate`, so rows from different machines (a CI
+    runner and a dev box) never gate each other.
+    """
+    import numpy
+
+    from repro.compiled import compiled_backend
+
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without affinity masks
+        cores = os.cpu_count() or 1
+    return (
+        f"{_cpu_model()} | nproc {cores} | python "
+        f"{platform.python_version()} | numpy {numpy.__version__} | "
+        f"backend {compiled_backend() or 'none'}"
+    )

@@ -518,8 +518,9 @@ class TestCompatibilityTensor:
         fm = (rng.random((6, 9)) < 0.4).astype(np.uint8)
         cms = (rng.random((7, 10, 9)) < 0.8).astype(np.uint8)
         tensor = compatibility_tensor(fm, cms)
+        assert tensor.shape == (7, 6, 10)  # (samples, FM rows, CM rows)
         for sample in range(cms.shape[0]):
-            assert tensor[sample].tolist() == \
+            assert tensor[sample].T.tolist() == \
                 compatibility_matrix(fm, cms[sample]).tolist()
 
     def test_shape_validation(self):

@@ -6,10 +6,10 @@ Covers the ISSUE 8 acceptance matrix:
   rejection of unknown names, and the ``auto`` → compiled →
   vectorized fallback chain (simulated backend absence via a
   monkeypatched probe and the ``REPRO_COMPILED`` kill switch);
-* kernel-level differentials — the portable kernels in
-  :mod:`repro.compiled._kernels_py` (the Numba jit target doubles as a
-  pure-Python oracle) against the NumPy replicas, and the loaded C/Numba
-  backend against that oracle;
+* kernel-level differentials — the plain-Python oracle in
+  :mod:`repro.compiled._kernels_py` against the NumPy replicas, and the
+  loaded C backend against that oracle, from toy instances up to Table
+  II-sized matchings and the native compatibility tensor;
 * end-to-end parity — compiled vs vectorized vs reference counting
   statistics, including multilevel and redundancy sweeps, and the
   packed Boolean minimiser with ``compiled`` merge passes;
@@ -55,13 +55,14 @@ from repro.experiments.monte_carlo import (
     run_mapping_monte_carlo,
 )
 from repro.mapping.batch_kernel import _replica_exact, _replica_hybrid
+from repro.mapping.matching import compatibility_tensor
 from repro.service.jobs import ChunkJob, execute_chunk, merge_mapping_chunks, plan_chunks
 from repro.service.orchestrator import Orchestrator
 from repro.service.store import CheckpointStore
 
 requires_backend = pytest.mark.skipif(
     not compiled.compiled_available(),
-    reason="no compiled backend (Numba or a C compiler) on this machine",
+    reason="no compiled backend (a C compiler) on this machine",
 )
 
 
@@ -112,7 +113,7 @@ class TestEngineRegistry:
 
     @requires_backend
     def test_auto_selects_compiled_when_available(self):
-        assert compiled.compiled_backend() in ("numba", "cext")
+        assert compiled.compiled_backend() == "cext"
         assert resolve_mapping_engine("auto") == "compiled"
         assert resolve_mapping_engine("compiled") == "compiled"
         assert resolve_boolean_engine("auto", 5) == "compiled"
@@ -134,17 +135,6 @@ class TestEngineRegistry:
 
     def test_kill_switch_disables_the_tier(self, clean_backend):
         clean_backend.setenv("REPRO_COMPILED", "off")
-        compiled.reset_compiled_backend()
-        assert not compiled.compiled_available()
-        assert resolve_mapping_engine("auto") == "vectorized"
-
-    def test_numba_restriction_without_numba(self, clean_backend):
-        # The container has no Numba, so restricting the probe to the
-        # Numba backend must behave exactly like a machine without it:
-        # auto falls back to the vectorized tier.
-        if kernels_py.NUMBA_AVAILABLE:  # pragma: no cover - numba machines
-            pytest.skip("numba is importable here")
-        clean_backend.setenv("REPRO_COMPILED", "numba")
         compiled.reset_compiled_backend()
         assert not compiled.compiled_available()
         assert resolve_mapping_engine("auto") == "vectorized"
@@ -245,7 +235,7 @@ class TestKernelOracle:
 
 @requires_backend
 class TestLoadedBackend:
-    """The loaded backend (C or Numba) against the pure-Python oracle."""
+    """The loaded C backend against the pure-Python oracle."""
 
     def test_map_builtin_batch_matches_oracle(self):
         kernels = compiled.get_kernels()
@@ -268,6 +258,24 @@ class TestLoadedBackend:
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w), kind
 
+    def test_rejects_shapes_the_kernels_would_overrun(self):
+        kernels = compiled.get_kernels()
+        compat = np.ones((2, 3, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="closed mask"):
+            kernels.map_builtin_batch(
+                compat, np.zeros((2, 5), dtype=np.uint8), 1, kind="exact",
+                check_validity=True,
+            )
+        with pytest.raises(ValueError, match="minterm"):
+            kernels.map_builtin_batch(
+                compat, np.zeros((2, 4), dtype=np.uint8), 4, kind="hybrid",
+                check_validity=True,
+            )
+        with pytest.raises(ValueError, match="column count"):
+            kernels.compatibility_tensor(
+                np.ones((3, 5), dtype=np.uint8), np.ones((2, 4, 6), dtype=np.uint8)
+            )
+
     def test_merge_distance_one_matches_oracle(self):
         kernels = compiled.get_kernels()
         rng = random.Random(5)
@@ -285,6 +293,119 @@ class TestLoadedBackend:
                 kernels.merge_distance_one(values),
                 kernels_py.merge_distance_one(values),
             )
+
+
+# ----------------------------------------------------------------------
+# Kernel differentials at Table II scale
+# ----------------------------------------------------------------------
+def hall_threshold_batch(rng, num_fm_rows: int, num_samples: int):
+    """Dense samples with about ln(n) compatible rows per FM row.
+
+    At that density about as many samples admit a saturating matching
+    as not, and the ones that do need long augmenting paths.  Every FM
+    row keeps at least one compatible usable row and the usable rows
+    outnumber the FM rows, as for every sample the pre-screen leaves.
+    """
+    num_rows = num_fm_rows + int(rng.integers(1, 5))
+    closed = np.zeros((num_samples, num_rows), dtype=np.uint8)
+    compat = np.zeros((num_samples, num_fm_rows, num_rows), dtype=np.uint8)
+    for s in range(num_samples):
+        spare = num_rows - num_fm_rows
+        closed[s, rng.choice(num_rows, int(rng.integers(0, spare)), replace=False)] = 1
+        density = rng.uniform(0.85, 1.1) * np.log(num_rows) / num_rows
+        compat[s] = rng.random((num_fm_rows, num_rows)) < density
+        compat[s] &= 1 - closed[s]
+        usable = np.flatnonzero(closed[s] == 0)
+        for row in np.flatnonzero(compat[s].sum(axis=1) == 0):
+            compat[s, row, rng.choice(usable)] = 1
+    return compat, closed
+
+
+def long_path_instance(chain: int, *, satisfiable: bool):
+    """One sample that only an augmenting path of 2 * chain + 1 edges saturates.
+
+    FM row ``i < chain`` fits crossbar rows ``i`` and ``i + 1``, so the
+    greedy first-free pass gives row ``i`` crossbar row ``i``.  The last
+    FM row fits only crossbar row 0, and the one crossbar row still free
+    (``chain``) is reachable from it only through the whole chain.  In
+    the unsatisfiable variant that row is stuck-closed.
+    """
+    compat = np.zeros((1, chain + 1, chain + 1), dtype=np.uint8)
+    for i in range(chain):
+        compat[0, i, i] = compat[0, i, i + 1] = 1
+    compat[0, chain, 0] = 1
+    closed = np.zeros((1, chain + 1), dtype=np.uint8)
+    if not satisfiable:
+        closed[0, chain] = 1
+        compat &= 1 - closed[:, None, :]
+    return compat, closed
+
+
+def assert_kernels_agree(compat, closed, num_minterms, kind):
+    """C vs the Python oracle vs the NumPy replicas; returns the successes."""
+    mode = {"exact": kernels_py.MODE_EXACT, "hybrid": kernels_py.MODE_HYBRID}[kind]
+    got = compiled.get_kernels().map_builtin_batch(
+        compat, closed, num_minterms, kind=kind, check_validity=True
+    )
+    want = kernels_py.map_builtin_batch(compat, closed, num_minterms, mode, 1)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w), kind
+    success, backtracks, valid = got
+    for s in range(compat.shape[0]):
+        usable = np.flatnonzero(closed[s] == 0)
+        if kind == "exact":
+            replica = _replica_exact(compat[s], usable)
+        else:
+            replica = _replica_hybrid(
+                compat[s], usable, num_minterms,
+                backtracking=True, check_validity=True,
+            )
+        assert (bool(success[s]), int(backtracks[s])) == replica[:2]
+        if success[s]:
+            assert valid[s] and replica[2]
+    return success.astype(bool)
+
+
+@requires_backend
+class TestTableIIScaleKernels:
+    """Matchings as large and as deep as Table II's circuits produce."""
+
+    @pytest.mark.parametrize("kind,num_minterms", [("exact", 0), ("hybrid", 4)])
+    def test_hall_threshold_instances(self, kind, num_minterms):
+        rng = np.random.default_rng(31)
+        outcomes = []
+        for num_fm_rows in (100, 250, 400, 600):
+            compat, closed = hall_threshold_batch(rng, num_fm_rows, 2)
+            outcomes += assert_kernels_agree(compat, closed, num_minterms, kind).tolist()
+        # Near the threshold both answers occur; neither side is vacuous.
+        assert any(outcomes) and not all(outcomes)
+
+    @pytest.mark.parametrize("kind", ["exact", "hybrid"])
+    @pytest.mark.parametrize("chain", [5, 12, 40])
+    def test_only_a_long_augmenting_path_saturates(self, kind, chain):
+        # 2 * chain + 1 >= 11 edges.  In hybrid mode every FM row is an
+        # output row, so the output stage's matching does the search.
+        compat, closed = long_path_instance(chain, satisfiable=True)
+        assert assert_kernels_agree(compat, closed, 0, kind).tolist() == [True]
+        compat, closed = long_path_instance(chain, satisfiable=False)
+        assert assert_kernels_agree(compat, closed, 0, kind).tolist() == [False]
+
+    @pytest.mark.parametrize("columns", [44, 64, 65, 142])
+    def test_native_tensor_matches_blas(self, columns):
+        # 44: alu4's width, one word; 64/65: either side of a word
+        # boundary; 142: exp5's width, three words.
+        rng = np.random.default_rng(columns)
+        fm = (rng.random((37, columns)) < 0.15).astype(np.uint8)
+        fm[5] = 0  # an FM row that needs no device fits every row
+        fm[6] = 1
+        cm = (rng.random((6, 41, columns)) < 0.97).astype(np.uint8)
+        want = compatibility_tensor(fm, cm)
+        got = compatibility_tensor(fm, cm, kernels=compiled.get_kernels())
+        assert got.dtype == want.dtype == np.bool_
+        assert got.shape == want.shape == (6, 37, 41)
+        assert np.array_equal(got, want)
+        assert got[:, 5].all()
+        assert got.any() and not got.all()
 
 
 # ----------------------------------------------------------------------

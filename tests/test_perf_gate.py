@@ -23,6 +23,7 @@ from repro.perf import (
     git_commit,
     infer_metric_specs,
     load_trajectory,
+    machine_fingerprint,
     render_trends,
     trajectory_path,
     trend_table,
@@ -155,12 +156,85 @@ class TestScaleMatching:
         history = rows([1.0, 1.0])  # recorded before the knob existed
         assert len(comparable_history({"samples": 30}, history)) == 2
 
+    def test_rows_from_another_machine_are_excluded(self):
+        # CI runners and dev boxes append to the same trajectory; a
+        # slower box's rows must not gate a faster one's, nor the reverse.
+        history = rows([0.1, 0.1], machine="ci") + rows([0.5, 0.5], machine="dev")
+        result = compare_run({"elapsed_seconds": 0.6, "machine": "dev"}, history)
+        assert result.passed
+        assert result.verdicts[0].baseline == pytest.approx(0.5)
+        assert not compare_run(
+            {"elapsed_seconds": 0.6, "machine": "ci"}, history
+        ).passed
+
     def test_scale_keys_none_disables_matching(self):
         history = rows([0.1], samples=6)
         result = compare_run(
             {"elapsed_seconds": 0.5, "samples": 30}, history, scale_keys=None
         )
         assert not result.passed
+
+
+class TestCrossTier:
+    """``auto`` runs the compiled tier, so it must not lose to NumPy."""
+
+    def test_compiled_slower_beyond_the_threshold_fails(self):
+        result = compare_run({"speedup": 5.0, "compiled_speedup": 2.9}, [])
+        assert not result.passed
+        (failure,) = result.failures
+        assert failure.metric == "compiled_speedup"
+        assert failure.versus == "speedup"
+        assert failure.baseline == pytest.approx(5.0)
+        assert "vs speedup 5 of the same row" in failure.describe()
+
+    def test_ties_within_the_threshold_pass(self):
+        for compiled_speedup in (4.9, 5.0, 8.0):
+            assert compare_run(
+                {"speedup": 5.0, "compiled_speedup": compiled_speedup}, []
+            ).passed
+        assert not compare_run(
+            {"speedup": 5.0, "compiled_speedup": 4.9}, [], speedup_threshold=0.01
+        ).passed
+
+    def test_a_cliff_on_one_circuit_fails_despite_the_mean(self):
+        # The mean over circuits hides an EA cliff on a large circuit.
+        metrics = {
+            "speedup": 6.4,
+            "compiled_speedup": 9.5,
+            "per_circuit": {
+                "rd53": {"speedup": 12.1, "compiled_speedup": 27.8},
+                "alu4": {"speedup": 5.2, "compiled_speedup": 0.6},
+            },
+        }
+        result = compare_run(metrics, [])
+        assert [v.metric for v in result.failures] == [
+            "per_circuit.alu4.compiled_speedup"
+        ]
+
+    def test_needs_both_tiers(self):
+        for metrics in (
+            {"speedup": 5.0},
+            {"compiled_speedup": 1.0},
+            {"speedup": 5.0, "compiled_speedup": None},
+            {"per_circuit": {"rd53": {"speedup": 5.0, "reference_seconds": 1.0}}},
+        ):
+            verdicts = compare_run(metrics, []).verdicts
+            assert all(v.versus is None for v in verdicts)
+
+
+class TestMachineFingerprint:
+    def test_names_cores_python_numpy_and_backend(self):
+        import platform
+
+        import numpy
+
+        from repro.compiled import compiled_backend
+
+        text = machine_fingerprint()
+        assert "nproc " in text
+        assert f"python {platform.python_version()}" in text
+        assert f"numpy {numpy.__version__}" in text
+        assert f"backend {compiled_backend() or 'none'}" in text
 
 
 class TestRealTrajectories:
@@ -180,6 +254,14 @@ class TestRealTrajectories:
             )
             assert result.passed, f"{path.name}:\n{result.render()}"
 
+    def test_every_shipped_row_names_its_machine(self):
+        for path in self.trajectories():
+            for row in load_trajectory(path)["runs"]:
+                assert isinstance(row.get("machine"), str), path.name
+
+    # The injections below are relative to the shipped history's median
+    # baseline, not to its last row: a last row that happened to run
+    # fast must not decide whether the gate sees a 50 % slowdown.
     def test_injected_50_percent_slowdown_fails(self):
         runs = load_trajectory(RESULTS_DIR / "BENCH_boolean.json")["runs"]
         clean = compare_run(runs[-1], runs[:-1])
@@ -190,15 +272,19 @@ class TestRealTrajectories:
         assert gated, "boolean trajectory has no baselined wall-clock metric"
         slowed = dict(runs[-1])
         for verdict in gated:
-            slowed[verdict.metric] = slowed[verdict.metric] * 1.5
+            slowed[verdict.metric] = verdict.baseline * 1.5
         result = compare_run(slowed, runs[:-1], benchmark="boolean")
         assert not result.passed
         assert {v.metric for v in result.failures} == {v.metric for v in gated}
 
     def test_injected_speedup_collapse_fails(self):
         runs = load_trajectory(RESULTS_DIR / "BENCH_vectorized.json")["runs"]
+        clean = compare_run(runs[-1], runs[:-1])
+        (speedup,) = [
+            v for v in clean.verdicts if v.metric == "speedup" and v.status == "ok"
+        ]
         collapsed = dict(runs[-1])
-        collapsed["speedup"] = collapsed["speedup"] / 2.0
+        collapsed["speedup"] = speedup.baseline / 2.0
         result = compare_run(collapsed, runs[:-1])
         assert any(v.metric == "speedup" for v in result.failures)
 
