@@ -3,7 +3,7 @@
 A from-scratch Python reproduction of Tunali & Altun, DATE 2018.  The
 package is organised by substrate:
 
-* :mod:`repro.boolean` — cubes, covers, multi-output functions, PLA I/O,
+* :mod:`repro.boolean` — cubes, covers, multi-output functions,
   minimisation and complementation;
 * :mod:`repro.synth` — NAND technology mapping (the ABC stand-in) used by
   the multi-level designs;
@@ -14,7 +14,7 @@ package is organised by substrate:
 * :mod:`repro.mapping` — the defect-tolerant mapping algorithms (hybrid
   HBA, exact EA) built on function/crossbar matrices and Munkres
   assignment;
-* :mod:`repro.circuits` — benchmark circuits;
+* :mod:`repro.circuits` — benchmark circuits and PLA I/O;
 * :mod:`repro.experiments` — harnesses regenerating every table and
   figure of the paper plus the future-work extensions;
 * :mod:`repro.api` — the unified public face: the fluent
@@ -73,10 +73,9 @@ from repro.boolean import (
     PackedCover,
     PackedTruthTable,
     minimize_cover,
-    parse_pla,
     parse_sop,
 )
-from repro.circuits import get_benchmark, list_benchmarks
+from repro.circuits import get_benchmark, list_benchmarks, parse_pla
 from repro.crossbar import (
     CrossbarArray,
     CrossbarController,

@@ -34,7 +34,7 @@ exactly, nominal).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Generator, Mapping
 from dataclasses import dataclass, field
 
 from repro.analysis.confidence import (
@@ -62,8 +62,7 @@ DEFAULT_MAX_BATCH = 8192
 DEFAULT_MAX_SAMPLES = 100_000
 
 #: Default floor before the stopping rule may fire (guards against a
-#: lucky tiny first batch).  Shared with the service orchestrator, whose
-#: sharded adaptive runs must stop at exactly the same sample counts.
+#: lucky tiny first batch).
 DEFAULT_MIN_SAMPLES = 32
 
 
@@ -148,6 +147,22 @@ class AdaptiveResult:
             f"{self.samples_used} samples ({len(self.batches)} batches, "
             f"tolerance {self.tolerance:g}): {parts}"
         )
+
+    def row_summary(self) -> dict:
+        """The ``"adaptive"`` entry of an adaptive scenario's result row."""
+        return {
+            "tolerance": self.tolerance,
+            "confidence": self.confidence,
+            "method": self.method,
+            "converged": self.converged,
+            "samples_used": self.samples_used,
+            "batches": len(self.batches),
+            "half_width": self.half_width(),
+            "estimates": {
+                name: estimate.to_dict()
+                for name, estimate in self.estimates().items()
+            },
+        }
 
     def to_dict(self) -> dict:
         """JSON-safe representation."""
@@ -264,15 +279,19 @@ def run_adaptive_monte_carlo(
                 f"cannot track algorithm {track!r}; this experiment runs "
                 f"{sorted(str(name) for name in names)}"
             )
-    min_samples = min(min_samples, max_samples)
-
-    result: MonteCarloResult | None = None
-    batches: list[AdaptiveBatch] = []
-    converged = False
-    offset = 0
-    batch = initial_batch
-    while offset < max_samples:
-        size = min(batch, max_samples - offset)
+    loop = adaptive_loop(
+        tolerance=tolerance,
+        confidence=confidence,
+        method=method,
+        track=track,
+        min_samples=min_samples,
+        max_samples=max_samples,
+        initial_batch=initial_batch,
+        growth=growth,
+        max_batch=max_batch,
+    )
+    offset, size = next(loop)
+    while True:
         partial = run_mapping_monte_carlo(
             function,
             defect_rate=defect_rate,
@@ -290,6 +309,44 @@ def run_adaptive_monte_carlo(
             sample_offset=offset,
             multilevel=multilevel,
         )
+        try:
+            offset, size = loop.send(partial)
+        except StopIteration as stop:
+            return stop.value
+
+
+def adaptive_loop(
+    *,
+    tolerance: float,
+    confidence: float = 0.95,
+    method: str = "wilson",
+    track: str | None = None,
+    min_samples: int = DEFAULT_MIN_SAMPLES,
+    max_samples: int = DEFAULT_MAX_SAMPLES,
+    initial_batch: int = DEFAULT_INITIAL_BATCH,
+    growth: float = 2.0,
+    max_batch: int = DEFAULT_MAX_BATCH,
+) -> Generator[tuple[int, int], MonteCarloResult, AdaptiveResult]:
+    """The batch schedule and stopping rule, apart from how batches run.
+
+    A generator: it yields each batch's global sample range as
+    ``(offset, size)``, is sent back the :class:`MonteCarloResult` over
+    exactly that range, and returns the :class:`AdaptiveResult` once the
+    rule stops.  :func:`run_adaptive_monte_carlo` drives it with
+    ``run_mapping_monte_carlo``; the service orchestrator drives it with
+    checkpointed chunk waves, so both stop at the same sample count.
+    The keywords are those of :func:`run_adaptive_monte_carlo`, which
+    validates them.
+    """
+    min_samples = min(min_samples, max_samples)
+    result: MonteCarloResult | None = None
+    batches: list[AdaptiveBatch] = []
+    converged = False
+    offset = 0
+    batch = initial_batch
+    while offset < max_samples:
+        size = min(batch, max_samples - offset)
+        partial = yield offset, size
         if result is None:
             result = partial
         else:

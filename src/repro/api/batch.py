@@ -32,6 +32,25 @@ def _noop() -> None:
     """Picklable no-op used to probe process-spawn rights."""
 
 
+def start_process_pool(workers: int) -> ProcessPoolExecutor | None:
+    """A process pool of ``workers``, or ``None`` where none may spawn.
+
+    Probes spawn rights with a no-op before any real work is committed:
+    sandboxes without process-spawn permission fail here, and callers
+    fall back to serial or thread execution (the determinism contract
+    makes the results identical).
+    """
+    executor = None
+    try:
+        executor = ProcessPoolExecutor(max_workers=workers)
+        executor.submit(_noop).result()
+    except (OSError, BrokenExecutor):
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
+        return None
+    return executor
+
+
 def auto_workers() -> int:
     """Default worker count: the CPUs actually available to this process.
 
@@ -195,18 +214,10 @@ class BatchRunner:
         if workers <= 1 or len(payloads) <= 1:
             return _serial()
         max_workers = min(workers, len(payloads))
-        executor = None
-        try:
-            executor = ProcessPoolExecutor(max_workers=max_workers)
-            # Probe spawn rights with a no-op before committing the real
-            # batch: sandboxes without process-spawn permission fail here
-            # and fall back to serial execution (the determinism contract
-            # makes the results identical).  Errors raised by ``fn``
-            # itself are NOT caught — they propagate from the map below.
-            executor.submit(_noop).result()
-        except (OSError, BrokenExecutor):
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
+        # Errors raised by ``fn`` itself are not caught — they propagate
+        # from the map below.
+        executor = start_process_pool(max_workers)
+        if executor is None:
             return _serial()
         self.last_run_workers = max_workers
         with executor:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.boolean.expression import parse_sop
 from repro.boolean.function import BooleanFunction
-from repro.boolean.pla import parse_pla
+from repro.circuits.pla import parse_pla
 from repro.crossbar.metrics import DualSelection, choose_dual
 from repro.defects.defect_map import DefectMap
 from repro.defects.injection import inject_uniform

@@ -19,13 +19,14 @@ away for comparisons.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.api.artifacts import ArtifactRecord, ArtifactStore
 from repro.api.batch import BatchRunner, chunk_ranges
-from repro.api.scenarios import FunctionSource, Scenario, ScenarioSuite
+from repro.api.scenarios import Scenario, ScenarioSuite
 from repro.api.seeding import derive_seed
 from repro.exceptions import ExperimentError
 
@@ -237,40 +238,53 @@ _AREA_BOOLEAN_ENGINES = {
 }
 
 
-def _area_boolean_engine(engine: str) -> str:
-    """Map a pipeline engine name onto the Boolean kernel it selects."""
-    return _AREA_BOOLEAN_ENGINES.get(engine, "auto")
+def sample_stream_length(scenario: Scenario) -> int:
+    """The length of each global sample stream the scenario plans.
+
+    The scenario's ``samples`` (a budget ceiling when adaptive), except
+    that an area scenario over a fixed (non-random) source has one
+    sample, index 0, which is the function itself.
+    """
+    if scenario.protocol == "area" and scenario.source.kind != "random":
+        return 1
+    return scenario.samples
 
 
-@dataclass(frozen=True)
-class _AreaChunkTask:
-    """Picklable description of one chunk of the area sample stream."""
+def evaluate_area_chunk(
+    scenario: Scenario, indices: range, *, engine: str
+) -> list[dict]:
+    """Area rows of the global sample ``indices``; a pure function.
 
-    source: FunctionSource
-    seed: int
-    start: int
-    stop: int
-    minimize_before_synthesis: bool
-    engine: str = "packed"
-
-
-def _run_area_chunk(task: _AreaChunkTask) -> list[dict]:
-    """Evaluate every sample of one chunk; pure function of the task."""
+    A random source draws sample ``i`` from the ``("random-function",
+    i)`` seed stream; any other source's single sample is the function
+    itself.  ``engine`` is a pipeline engine name, mapped onto the
+    Boolean kernel it selects.
+    """
     from repro.boolean.random_functions import random_single_output_function
     from repro.experiments.figure6 import evaluate_sample
 
-    spec = task.source.random_spec()
+    boolean_engine = _AREA_BOOLEAN_ENGINES.get(engine, "auto")
+    random_spec = (
+        scenario.source.random_spec()
+        if scenario.source.kind == "random"
+        else None
+    )
     rows = []
-    for index in range(task.start, task.stop):
-        function = random_single_output_function(
-            spec,
-            seed=derive_seed(task.seed, "random-function", index),
-            engine=task.engine,
-        )
+    for index in indices:
+        if random_spec is None:
+            function = scenario.source.build(seed=scenario.seed)
+        else:
+            function = random_single_output_function(
+                random_spec,
+                seed=derive_seed(scenario.seed, "random-function", index),
+                engine=boolean_engine,
+            )
         sample = evaluate_sample(
             function,
-            minimize_before_synthesis=task.minimize_before_synthesis,
-            engine=task.engine,
+            minimize_before_synthesis=scenario.options.get(
+                "minimize_before_synthesis", True
+            ),
+            engine=boolean_engine,
         )
         rows.append(
             {
@@ -292,43 +306,9 @@ def _run_area_protocol(
     engine: str,
     emit: Callable[[int, dict], None] | None,
 ) -> tuple[list[dict], int]:
-    boolean_engine = _area_boolean_engine(engine)
-    if scenario.source.kind != "random":
-        # A fixed function has nothing to sample: evaluate it once.
-        from repro.experiments.figure6 import evaluate_sample
-
-        sample = evaluate_sample(
-            scenario.source.build(seed=scenario.seed),
-            minimize_before_synthesis=scenario.options.get(
-                "minimize_before_synthesis", True
-            ),
-            engine=boolean_engine,
-        )
-        row = {
-            "index": 0,
-            "num_products": sample.num_products,
-            "two_level_cost": sample.two_level_cost,
-            "multi_level_cost": sample.multi_level_cost,
-            "gate_count": sample.gate_count,
-        }
-        if emit is not None:
-            emit(0, row)
-        return [row], 1
+    samples = sample_stream_length(scenario)
     runner = BatchRunner(workers)
-    plan = runner.plan(scenario.samples, chunk_size)
-    tasks = [
-        _AreaChunkTask(
-            source=scenario.source,
-            seed=scenario.seed,
-            start=chunk.start,
-            stop=chunk.stop,
-            minimize_before_synthesis=scenario.options.get(
-                "minimize_before_synthesis", True
-            ),
-            engine=boolean_engine,
-        )
-        for chunk in chunk_ranges(scenario.samples, plan.chunk_size)
-    ]
+    plan = runner.plan(samples, chunk_size)
     rows: list[dict] = []
 
     def stream_chunk(partial: list[dict]) -> None:
@@ -340,12 +320,26 @@ def _run_area_protocol(
             rows.append(row)
 
     runner.run(
-        _run_area_chunk,
-        tasks,
-        total_items=scenario.samples,
+        functools.partial(evaluate_area_chunk, scenario, engine=engine),
+        chunk_ranges(samples, plan.chunk_size),
+        total_items=samples,
         on_result=stream_chunk,
     )
     return rows, runner.last_run_workers or 1
+
+
+def adaptive_settings(scenario: Scenario) -> dict:
+    """The adaptive loop's keywords for a ``tolerance`` scenario.
+
+    The scenario's sample count is the budget ceiling, and its options
+    may set ``confidence`` and ``ci_method``.
+    """
+    return {
+        "tolerance": scenario.tolerance,
+        "confidence": scenario.options.get("confidence", 0.95),
+        "method": scenario.options.get("ci_method", "wilson"),
+        "max_samples": scenario.samples,
+    }
 
 
 def _run_mapping_protocol(
@@ -376,9 +370,7 @@ def _run_mapping_protocol(
 
             adaptive = run_adaptive_monte_carlo(
                 function,
-                tolerance=scenario.tolerance,
-                confidence=scenario.options.get("confidence", 0.95),
-                method=scenario.options.get("ci_method", "wilson"),
+                **adaptive_settings(scenario),
                 defect_model=model,
                 algorithms=scenario.mappers,
                 seed=scenario.seed,
@@ -389,22 +381,9 @@ def _run_mapping_protocol(
                 chunk_size=chunk_size,
                 engine=engine,
                 multilevel=multilevel,
-                max_samples=scenario.samples,
             )
             monte_carlo = adaptive.monte_carlo
-            adaptive_summary = {
-                "tolerance": adaptive.tolerance,
-                "confidence": adaptive.confidence,
-                "method": adaptive.method,
-                "converged": adaptive.converged,
-                "samples_used": adaptive.samples_used,
-                "batches": len(adaptive.batches),
-                "half_width": adaptive.half_width(),
-                "estimates": {
-                    name: estimate.to_dict()
-                    for name, estimate in adaptive.estimates().items()
-                },
-            }
+            adaptive_summary = adaptive.row_summary()
         else:
             monte_carlo = run_mapping_monte_carlo(
                 function,

@@ -157,7 +157,7 @@ class FunctionSource:
                 self.spec["name"], variant=self.spec.get("variant", "table2")
             )
         if self.kind == "pla":
-            from repro.boolean.pla import parse_pla
+            from repro.circuits.pla import parse_pla
 
             return parse_pla(self.spec["text"], name=self.spec.get("name", ""))
         if self.kind == "sop":

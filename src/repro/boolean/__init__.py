@@ -35,7 +35,6 @@ from repro.boolean.packed import (
     minimize_cover_packed,
     prime_implicants_packed,
 )
-from repro.boolean.pla import load_pla, parse_pla, save_pla, write_pla
 from repro.boolean.random_functions import (
     RandomFunctionSpec,
     random_cover,
@@ -81,10 +80,6 @@ __all__ = [
     "irredundant_cover",
     "prime_implicants",
     "quine_mccluskey",
-    "parse_pla",
-    "write_pla",
-    "load_pla",
-    "save_pla",
     "parse_sop",
     "function_from_expressions",
     "RandomFunctionSpec",

@@ -19,9 +19,6 @@ don't-care set, while :func:`parse_pla` keeps the historical contract of
 returning just the on-set :class:`BooleanFunction` (what the two-level
 mappers consume).  Every malformed-input error names the offending line
 number.
-
-:mod:`repro.boolean.pla` re-exports the same functions for backwards
-compatibility; new code should import from here.
 """
 
 from __future__ import annotations

@@ -487,12 +487,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from repro.service.http import make_server
+    from repro.service.orchestrator import Orchestrator
     from repro.service.store import CheckpointStore
 
-    server = make_server(
-        args.host,
-        args.port,
-        checkpoints=CheckpointStore(args.checkpoints or DEFAULT_CHECKPOINTS),
+    orchestrator = Orchestrator(
+        CheckpointStore(args.checkpoints or DEFAULT_CHECKPOINTS),
         artifacts=ArtifactStore(args.jsonl or DEFAULT_STORE),
         workers=args.workers,
         engine=canonical_engine(args.engine),
@@ -500,7 +499,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         chunk_timeout=args.chunk_timeout,
         chunk_retries=args.chunk_retries,
         partial_policy=args.partial_policy,
-        verbose=args.verbose,
+    )
+    server = make_server(
+        orchestrator, args.host, args.port, verbose=args.verbose
     )
     host, port = server.server_address[:2]
     # The port line is machine-readable on purpose: scripts (and the CI

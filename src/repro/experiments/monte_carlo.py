@@ -58,7 +58,7 @@ from repro.engines import (
     resolve_mapping_engine,
 )
 from repro.exceptions import ExperimentError
-from repro.mapping.batch_kernel import map_sample_batch
+from repro.mapping.batch_kernel import load_scipy_matching, map_sample_batch
 from repro.mapping.crossbar_matrix import CrossbarMatrix
 from repro.mapping.function_matrix import FunctionMatrix
 from repro.mapping.validate import validate_assignment
@@ -607,6 +607,10 @@ def run_mapping_monte_carlo(
         multilevel=multilevel,
     )
 
+    if engine != "compiled":
+        # The NumPy replicas and the reference engine's Munkres use
+        # SciPy: import it once here, not in every worker of the pool.
+        load_scipy_matching()
     start = time.perf_counter()
     for partial in runner.run(_run_chunk, tasks, total_items=sample_size):
         for name, outcome in partial.items():

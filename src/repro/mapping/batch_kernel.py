@@ -50,6 +50,7 @@ is safe for *every* mapper in the registry.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -65,13 +66,6 @@ from repro.mapping.hybrid import GreedyMapper, HybridMapper
 from repro.mapping.matching import compatibility_tensor
 from repro.mapping.munkres import zero_cost_assignment
 from repro.mapping.validate import validate_assignment
-
-try:  # SciPy's Hopcroft-Karp is the fast path; Munkres the fallback.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-except ImportError:  # pragma: no cover - exercised via the fallback branch
-    csr_matrix = None
-    maximum_bipartite_matching = None
 
 #: Decision codes recorded per (mapper, sample) — how the engine settled it.
 DECISION_REPAIR_DROP = -2  #: spare-column repair left too few columns
@@ -450,6 +444,22 @@ def _run_builtin_mappers(
     return shared_seconds
 
 
+@functools.cache
+def load_scipy_matching():
+    """SciPy's ``(csr_matrix, maximum_bipartite_matching)``, or ``None``.
+
+    SciPy's Hopcroft-Karp is the fast path of the NumPy replicas and
+    Munkres the fallback.  It is imported on first use, not with this
+    module, because it is most of the time ``import repro`` would take.
+    """
+    try:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+    except ImportError:  # pragma: no cover - SciPy is an optional extra
+        return None
+    return csr_matrix, maximum_bipartite_matching
+
+
 def _saturating_matching(compat_sub: np.ndarray) -> np.ndarray | None:
     """A matching covering every *row* of a boolean biadjacency matrix.
 
@@ -465,7 +475,9 @@ def _saturating_matching(compat_sub: np.ndarray) -> np.ndarray | None:
         return None
     if num_left == 0:
         return np.zeros(0, dtype=np.int64)
-    if maximum_bipartite_matching is not None:
+    scipy_matching = load_scipy_matching()
+    if scipy_matching is not None:
+        csr_matrix, maximum_bipartite_matching = scipy_matching
         matched = maximum_bipartite_matching(
             csr_matrix(compat_sub), perm_type="column"
         )

@@ -35,7 +35,6 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.api.artifacts import ArtifactStore
 from repro.api.scenarios import Scenario
 from repro.exceptions import ExperimentError, ReproError
 from repro.service.orchestrator import (
@@ -44,7 +43,6 @@ from repro.service.orchestrator import (
     Orchestrator,
     ServiceUnavailable,
 )
-from repro.service.store import CheckpointStore
 
 #: Seconds a handler thread waits for a loop-side operation to finish.
 CALL_TIMEOUT = 60.0
@@ -57,31 +55,8 @@ RETRY_AFTER_SECONDS = 1
 class ServiceRuntime:
     """Owns the asyncio loop thread the orchestrator lives on."""
 
-    def __init__(
-        self,
-        checkpoints: CheckpointStore,
-        *,
-        artifacts: ArtifactStore | None = None,
-        workers: int | None = None,
-        engine: str = "auto",
-        chunk_size: int | None = None,
-        chunk_timeout: float | None = None,
-        chunk_retries: int = 2,
-        retry_delay: float = 0.05,
-        partial_policy: str = "fail",
-    ):
-        self.artifacts = artifacts
-        self.orchestrator = Orchestrator(
-            checkpoints,
-            artifacts=artifacts,
-            workers=workers,
-            engine=engine,
-            chunk_size=chunk_size,
-            chunk_timeout=chunk_timeout,
-            chunk_retries=chunk_retries,
-            retry_delay=retry_delay,
-            partial_policy=partial_policy,
-        )
+    def __init__(self, orchestrator: Orchestrator):
+        self.orchestrator = orchestrator
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._run_loop, name="repro-service-loop", daemon=True
@@ -195,9 +170,10 @@ class ServiceRuntime:
 
     def artifact(self, spec_hash: str) -> dict:
         """The latest complete artifact-store record for a content hash."""
-        if self.artifacts is None:
+        artifacts = self.orchestrator.artifacts
+        if artifacts is None:
             raise ExperimentError("this server has no artifact store attached")
-        record = self.artifacts.load(spec_hash)
+        record = artifacts.load(spec_hash)
         if record is None:
             raise ExperimentError(f"no complete artifact for hash {spec_hash!r}")
         return {
@@ -324,21 +300,13 @@ class ServiceServer(ThreadingHTTPServer):
 
 
 def make_server(
+    orchestrator: Orchestrator,
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    checkpoints: CheckpointStore,
-    artifacts: ArtifactStore | None = None,
-    workers: int | None = None,
-    engine: str = "auto",
-    chunk_size: int | None = None,
-    chunk_timeout: float | None = None,
-    chunk_retries: int = 2,
-    retry_delay: float = 0.05,
-    partial_policy: str = "fail",
     verbose: bool = False,
 ) -> ServiceServer:
-    """Build (and start the runtime of) a service server.
+    """Build (and start the runtime of) a server over ``orchestrator``.
 
     ``port=0`` binds an ephemeral port — read it back from
     ``server.server_address``.  The caller owns the serve loop: call
@@ -347,15 +315,5 @@ def make_server(
     ``runtime.drain()`` first for a graceful (checkpoint-preserving,
     503-answering) exit.
     """
-    runtime = ServiceRuntime(
-        checkpoints,
-        artifacts=artifacts,
-        workers=workers,
-        engine=engine,
-        chunk_size=chunk_size,
-        chunk_timeout=chunk_timeout,
-        chunk_retries=chunk_retries,
-        retry_delay=retry_delay,
-        partial_policy=partial_policy,
-    ).start()
+    runtime = ServiceRuntime(orchestrator).start()
     return ServiceServer((host, port), runtime, verbose=verbose)

@@ -23,8 +23,8 @@ silently orphan existing checkpoints.
 Adaptive (``tolerance``-driven) scenarios cannot be sharded statically
 — the sample count is decided by the stopping rule as evidence
 accumulates.  They shard *wave by wave* instead: each wave is one batch
-of the deterministic geometric schedule of
-:func:`repro.analysis.adaptive.run_adaptive_monte_carlo`, itself split
+yielded by :func:`repro.analysis.adaptive.adaptive_loop`, the loop of
+:func:`~repro.analysis.adaptive.run_adaptive_monte_carlo`, itself split
 into chunk jobs (:func:`plan_range_chunks`).  Because the stopping rule
 reads counting statistics only, a resumed campaign replays the same
 schedule, loads the checkpointed waves and stops at the same sample
@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 from repro.api.batch import chunk_ranges
+from repro.api.runner import evaluate_area_chunk, sample_stream_length
 from repro.api.scenarios import Scenario
 from repro.exceptions import ExperimentError
 from repro.experiments.monte_carlo import VECTORIZED_MIN_CHUNK, MonteCarloResult
@@ -104,10 +105,10 @@ def plan_range_chunks(
 def plan_chunks(scenario: Scenario, chunk_size: int) -> list[ChunkSpec]:
     """The full static chunk plan of a fixed-budget scenario.
 
-    Mapping scenarios shard every redundancy row's ``[0, samples)``
-    stream; area scenarios shard their single row (a non-random source
-    has exactly one sample to evaluate).  Adaptive scenarios have no
-    static plan — the orchestrator plans them wave by wave.
+    Mapping scenarios shard every redundancy row's sample stream; area
+    scenarios shard their single one (see
+    :func:`~repro.api.runner.sample_stream_length`).  Adaptive scenarios
+    have no static plan — the orchestrator plans them wave by wave.
     """
     if scenario.tolerance is not None:
         raise ExperimentError(
@@ -115,8 +116,7 @@ def plan_chunks(scenario: Scenario, chunk_size: int) -> list[ChunkSpec]:
             "planned wave by wave, not statically"
         )
     if scenario.protocol == "area":
-        samples = scenario.samples if scenario.source.kind == "random" else 1
-        return plan_range_chunks(0, 0, samples, chunk_size)
+        return plan_range_chunks(0, 0, sample_stream_length(scenario), chunk_size)
     return [
         chunk
         for row_index in range(len(scenario.redundancy))
@@ -163,7 +163,10 @@ def execute_chunk(job: ChunkJob) -> dict:
     scenario = Scenario.from_dict(job.scenario_payload)
     chunk = job.chunk
     if scenario.protocol == "area":
-        return {"protocol": "area", "rows": _execute_area_chunk(scenario, job)}
+        rows = evaluate_area_chunk(
+            scenario, range(chunk.start, chunk.stop), engine=job.engine
+        )
+        return {"protocol": "area", "rows": rows}
     from repro.experiments.monte_carlo import run_mapping_monte_carlo
 
     extra_rows, extra_columns = scenario.redundancy[chunk.row_index]
@@ -183,48 +186,6 @@ def execute_chunk(job: ChunkJob) -> dict:
         multilevel=scenario.multilevel_spec(),
     )
     return {"protocol": "mapping", "monte_carlo": monte_carlo.to_dict()}
-
-
-def _execute_area_chunk(scenario: Scenario, job: ChunkJob) -> list[dict]:
-    """Area-protocol chunk: reuse the runner's chunk executor."""
-    from repro.api.runner import (
-        _area_boolean_engine,
-        _AreaChunkTask,
-        _run_area_chunk,
-    )
-
-    boolean_engine = _area_boolean_engine(job.engine)
-    if scenario.source.kind != "random":
-        from repro.experiments.figure6 import evaluate_sample
-
-        sample = evaluate_sample(
-            scenario.source.build(seed=scenario.seed),
-            minimize_before_synthesis=scenario.options.get(
-                "minimize_before_synthesis", True
-            ),
-            engine=boolean_engine,
-        )
-        return [
-            {
-                "index": 0,
-                "num_products": sample.num_products,
-                "two_level_cost": sample.two_level_cost,
-                "multi_level_cost": sample.multi_level_cost,
-                "gate_count": sample.gate_count,
-            }
-        ]
-    return _run_area_chunk(
-        _AreaChunkTask(
-            source=scenario.source,
-            seed=scenario.seed,
-            start=job.chunk.start,
-            stop=job.chunk.stop,
-            minimize_before_synthesis=scenario.options.get(
-                "minimize_before_synthesis", True
-            ),
-            engine=boolean_engine,
-        )
-    )
 
 
 def merge_mapping_chunks(payloads: list[dict]) -> MonteCarloResult:

@@ -55,19 +55,18 @@ Chunk execution survives the failures the mapper survives in silicon
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 import warnings
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.api.artifacts import ArtifactStore
-from repro.api.batch import _noop, auto_workers
-from repro.api.runner import ScenarioResult
+from repro.api.batch import auto_workers, start_process_pool
+from repro.api.runner import (
+    ScenarioResult,
+    adaptive_settings,
+    sample_stream_length,
+)
 from repro.api.scenarios import Scenario
 from repro.engines import canonical_engine
 from repro.exceptions import ExperimentError
@@ -260,20 +259,9 @@ class Orchestrator:
         if self._executor is not None:
             return self._executor
         workers = self.workers if self.workers is not None else auto_workers()
-        if workers > 1:
-            executor = None
-            try:
-                executor = ProcessPoolExecutor(max_workers=workers)
-                # Probe spawn rights exactly like BatchRunner: fall back
-                # to threads where process pools are unavailable.
-                executor.submit(_noop).result()
-                self._executor = executor
-                self._executor_workers = workers
-                return executor
-            except (OSError, BrokenExecutor):
-                if executor is not None:
-                    executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = ThreadPoolExecutor(max_workers=workers)
+        # Fall back to threads where process pools are unavailable.
+        pool = start_process_pool(workers) if workers > 1 else None
+        self._executor = pool or ThreadPoolExecutor(max_workers=workers)
         self._executor_workers = workers
         return self._executor
 
@@ -496,10 +484,9 @@ class Orchestrator:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        samples = scenario.samples
-        if scenario.protocol == "area" and scenario.source.kind != "random":
-            samples = 1  # a fixed function is evaluated exactly once
-        chunk_size = self.chunk_size or default_chunk_size(samples)
+        chunk_size = self.chunk_size or default_chunk_size(
+            sample_stream_length(scenario)
+        )
         self.checkpoints.write_spec(
             job.job_id,
             {
@@ -664,36 +651,23 @@ class Orchestrator:
     ) -> list[dict]:
         """Wave-by-wave adaptive sharding (see :mod:`repro.service.jobs`).
 
-        Replays the deterministic geometric batch schedule of
-        :func:`repro.analysis.adaptive.run_adaptive_monte_carlo` with
-        each batch sharded across the pool, stopping at exactly the
-        sample count the in-process sampler would choose — the stopping
-        rule reads counting statistics only, which are invariant to the
-        sharding.
+        Drives :func:`repro.analysis.adaptive.adaptive_loop`, the loop
+        of :func:`~repro.analysis.adaptive.run_adaptive_monte_carlo`,
+        with each batch sharded across the pool as one chunk wave, so a
+        job stops at exactly the sample count the in-process sampler
+        chooses — the stopping rule reads counting statistics only,
+        which are invariant to the sharding.
         """
-        from repro.analysis.adaptive import (
-            DEFAULT_INITIAL_BATCH,
-            DEFAULT_MAX_BATCH,
-            DEFAULT_MIN_SAMPLES,
-        )
-        from repro.analysis.confidence import yield_estimate
+        from repro.analysis.adaptive import adaptive_loop
 
         scenario = job.scenario
-        tolerance = scenario.tolerance
-        confidence = scenario.options.get("confidence", 0.95)
-        method = scenario.options.get("ci_method", "wilson")
-        max_samples = scenario.samples
-        min_samples = min(DEFAULT_MIN_SAMPLES, max_samples)
         rows = []
         for row_index, (extra_rows, extra_columns) in enumerate(
             scenario.redundancy
         ):
-            merged = None
-            batches = []
-            converged = False
-            offset, batch = 0, DEFAULT_INITIAL_BATCH
-            while offset < max_samples:
-                size = min(batch, max_samples - offset)
+            loop = adaptive_loop(**adaptive_settings(scenario))
+            offset, size = next(loop)
+            while True:
                 wave = plan_range_chunks(
                     row_index, offset, offset + size, chunk_size
                 )
@@ -712,56 +686,16 @@ class Orchestrator:
                 partial = merge_mapping_chunks(
                     [payloads[chunk] for chunk in sorted(wave)]
                 )
-                if merged is None:
-                    merged = partial
-                else:
-                    merged.merge(partial)
-                offset += size
-                half_widths = {
-                    name: yield_estimate(
-                        outcome.successes,
-                        outcome.samples,
-                        confidence=confidence,
-                        method=method,
-                    ).half_width
-                    for name, outcome in merged.outcomes.items()
-                }
-                batches.append(
-                    {"offset": offset - size, "size": size,
-                     "half_widths": half_widths}
-                )
-                if offset >= min_samples and max(half_widths.values()) <= tolerance:
-                    converged = True
+                try:
+                    offset, size = loop.send(partial)
+                except StopIteration as stop:
+                    adaptive = stop.value
                     break
-                batch = min(math.ceil(batch * 2.0), DEFAULT_MAX_BATCH)
-            estimates = {
-                name: yield_estimate(
-                    outcome.successes,
-                    outcome.samples,
-                    confidence=confidence,
-                    method=method,
-                )
-                for name, outcome in merged.outcomes.items()
-            }
             rows.append(
                 {
                     "redundancy": [extra_rows, extra_columns],
-                    "monte_carlo": merged.to_dict(),
-                    "adaptive": {
-                        "tolerance": tolerance,
-                        "confidence": confidence,
-                        "method": method,
-                        "converged": converged,
-                        "samples_used": merged.sample_size,
-                        "batches": len(batches),
-                        "half_width": max(
-                            estimate.half_width for estimate in estimates.values()
-                        ),
-                        "estimates": {
-                            name: estimate.to_dict()
-                            for name, estimate in estimates.items()
-                        },
-                    },
+                    "monte_carlo": adaptive.monte_carlo.to_dict(),
+                    "adaptive": adaptive.row_summary(),
                 }
             )
         return rows

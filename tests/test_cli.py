@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.api.scenarios import FunctionSource, Scenario, ScenarioSuite
 from repro.cli import main, resolve_target
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -46,6 +52,25 @@ def tiny_suite_file(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(suite.to_json())
     return path
+
+
+def test_import_leaves_scipy_unloaded():
+    # SciPy is most of the CLI's start-up time, and only the NumPy
+    # replicas (and large Munkres problems) use it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    probe = "import sys, repro.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestList:

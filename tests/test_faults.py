@@ -534,7 +534,7 @@ class TestDrain:
 
     def test_http_drain_returns_clean_503_with_retry_after(self, tmp_path):
         server = make_server(
-            checkpoints=CheckpointStore(tmp_path / "ckpt"), workers=1
+            Orchestrator(CheckpointStore(tmp_path / "ckpt"), workers=1)
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -558,7 +558,7 @@ class TestDrain:
 
     def test_client_retries_through_a_drain_window(self, tmp_path):
         server = make_server(
-            checkpoints=CheckpointStore(tmp_path / "ckpt"), workers=1
+            Orchestrator(CheckpointStore(tmp_path / "ckpt"), workers=1)
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.boolean.expression import function_from_expressions, parse_sop, tokenize
-from repro.boolean.pla import parse_pla, write_pla
+from repro.circuits.pla import parse_pla, write_pla
 from repro.exceptions import ExpressionError, PlaFormatError
 
 SAMPLE_PLA = """
@@ -69,7 +69,7 @@ class TestPla:
         assert parse_pla(text).num_products == 1
 
     def test_save_and_load(self, tmp_path):
-        from repro.boolean.pla import load_pla, save_pla
+        from repro.circuits.pla import load_pla, save_pla
 
         function = parse_pla(SAMPLE_PLA, name="sample")
         path = tmp_path / "sample.pla"
