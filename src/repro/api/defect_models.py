@@ -47,7 +47,7 @@ from repro.defects.injection import (
     inject_radial,
     inject_uniform,
 )
-from repro.defects.types import DefectType
+from repro.defects.types import DefectProfile, DefectType
 from repro.exceptions import DefectError, RegistryError
 
 #: An injector: ``(rows, columns, *, seed=..., **params) -> DefectMap``.
@@ -241,8 +241,6 @@ def _uniform_model(
     rate: float = 0.10,
     stuck_open_fraction: float = 1.0,
 ) -> DefectMap:
-    from repro.defects.types import DefectProfile
-
     profile = DefectProfile(rate=rate, stuck_open_fraction=stuck_open_fraction)
     return inject_uniform(rows, columns, profile, seed=seed)
 
@@ -270,8 +268,6 @@ def _clustered_model(
     cluster_radius: int = 1,
     cluster_spread: float = 0.5,
 ) -> DefectMap:
-    from repro.defects.types import DefectProfile
-
     profile = DefectProfile(rate=rate, stuck_open_fraction=stuck_open_fraction)
     return inject_clustered(
         rows,
@@ -292,8 +288,6 @@ def _radial_model(
     stuck_open_fraction: float = 1.0,
     edge_factor: float = 3.0,
 ) -> DefectMap:
-    from repro.defects.types import DefectProfile
-
     profile = DefectProfile(rate=rate, stuck_open_fraction=stuck_open_fraction)
     return inject_radial(rows, columns, profile, edge_factor=edge_factor, seed=seed)
 
@@ -323,8 +317,6 @@ def _lines_model(
 def _validate_profile_params(
     rate: float = 0.10, stuck_open_fraction: float = 1.0, **_ignored
 ) -> None:
-    from repro.defects.types import DefectProfile
-
     DefectProfile(rate=rate, stuck_open_fraction=stuck_open_fraction)
 
 
@@ -401,6 +393,26 @@ def list_defect_models() -> list[str]:
     return default_registry.names()
 
 
+def builtin_uniform_profile(model) -> DefectProfile | None:
+    """``model``'s profile when it draws with the built-in uniform injector.
+
+    ``None`` for every other model.  The decision follows the injector
+    registered under the model's name, not the name: after
+    ``register_defect_model("uniform", ..., override=True)`` a
+    ``"uniform"`` model is someone else's and gets ``None``.
+    """
+    if not isinstance(model, DefectModel) or model.name not in default_registry:
+        return None
+    if default_registry.injector(model.name) is not _uniform_model:
+        return None
+    bound = inspect.signature(_uniform_model).bind(0, 0, **model.params)
+    bound.apply_defaults()
+    return DefectProfile(
+        rate=bound.arguments["rate"],
+        stuck_open_fraction=bound.arguments["stuck_open_fraction"],
+    )
+
+
 def resolve_defect_model(spec) -> DefectModel:
     """Coerce the many accepted spellings into one :class:`DefectModel`.
 
@@ -409,8 +421,6 @@ def resolve_defect_model(spec) -> DefectModel:
     a ``{"name": ..., "params": ...}`` dict, or ``None`` (the paper's
     default: 10 % uniform stuck-open defects).
     """
-    from repro.defects.types import DefectProfile
-
     if spec is None:
         return create_defect_model("uniform", rate=0.10)
     if isinstance(spec, DefectModel):

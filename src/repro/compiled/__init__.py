@@ -2,21 +2,25 @@
 
 The vectorized NumPy engines (``repro.mapping.batch_kernel`` and
 ``repro.boolean.packed``) still fall back to per-sample / per-cube
-Python loops for the work their counting pre-screens cannot decide.
-This package compiles exactly those loops, plus the tensor they read:
+Python loops for the work their counting pre-screens cannot decide,
+and draw every sample's defects in a per-crosspoint Python loop.  This
+package compiles exactly those loops, plus the tensor they read:
 
 * the compatibility tensor, bit-packed into ``uint64`` column words
   instead of a BLAS matmul;
 * the built-in mapper replicas (exact saturating matching, greedy /
   hybrid first-fit with one-step backtracking) over that tensor,
   batched across all undecided samples in one native call;
-* the distance-1 cube-merge pass of the packed Boolean minimiser.
+* the distance-1 cube-merge pass of the packed Boolean minimiser;
+* the built-in ``uniform`` defect model's draws for a whole chunk, on
+  a port of CPython's MT19937 that replays ``random.Random``'s stream.
 
 One backend implements them, ``"cext"``: :mod:`repro.compiled._kernels.c`
 built once with the system C compiler into a cached shared library and
 driven through :mod:`ctypes` (no build-time dependency beyond ``cc``).
-:mod:`repro.compiled._kernels_py` is its plain-Python oracle, run only
-by the test suite.
+:mod:`repro.compiled._kernels_py` is the plain-Python oracle of the
+mapping and merge kernels, run only by the test suite; the defect draw's
+oracle is :func:`repro.defects.injection.inject_uniform` itself.
 
 When the backend cannot load the compiled tier is simply *absent*:
 :func:`compiled_available` returns ``False`` and
@@ -84,9 +88,13 @@ def get_kernels():
 
     The object exposes ``backend`` (name), ``compatibility_tensor(fm_rows,
     cm_stack)``, ``map_builtin_batch(compat, closed, num_minterms,
-    kind=..., check_validity=...)`` and ``merge_distance_one(values)`` —
-    see :mod:`repro.compiled.cext` and the oracle module for the exact
-    array contracts.
+    kind=..., check_validity=...)``, ``merge_distance_one(values)`` and
+    ``inject_uniform_batch(stream_seeds, rows, columns, rate=...,
+    stuck_open_fraction=...)`` — see :mod:`repro.compiled.cext` and the
+    oracle module for the exact array contracts.  The last returns the
+    ``(functional, closed_rows, closed_columns)`` tensors of what
+    ``random.Random(stream_seed)`` draws under
+    :func:`repro.defects.injection.draw_uniform`, one sample per seed.
     """
     return _ensure()[1]
 

@@ -4,9 +4,11 @@
  * function for function; that module documents the array contracts
  * and the parity obligations.  The compatibility tensor is held to
  * repro.mapping.matching.compatibility_tensor, the NumPy tier's
- * implementation.  Built by repro/compiled/cext.py with the system C
- * compiler into a cached shared library and driven through ctypes —
- * no Python.h, so any plain `cc -O2 -fPIC -shared` works.
+ * implementation, and the uniform defect draw to
+ * repro.defects.injection.inject_uniform, which it transcribes.  Built
+ * by repro/compiled/cext.py with the system C compiler into a cached
+ * shared library and driven through ctypes — no Python.h, so any plain
+ * `cc -O2 -fPIC -shared` works.
  */
 
 #include <stdint.h>
@@ -384,4 +386,167 @@ int64_t repro_merge_distance_one(const uint8_t *values, int64_t num_cubes,
     memcpy(out, cur, (size_t)count * row_bytes);
     free(cur); free(nxt); free(used); free(merged);
     return count;
+}
+
+/* MT19937 as CPython's random.Random runs it: the init_by_array seeding
+ * of random.seed(int) and the 53-bit doubles of random.random().  Ported
+ * from the Matsumoto-Nishimura reference code (mt19937ar.c), which
+ * carries this notice:
+ *
+ *   Copyright (C) 1997 - 2002, Makoto Matsumoto and Takuji Nishimura,
+ *   All rights reserved.
+ *
+ *   Redistribution and use in source and binary forms, with or without
+ *   modification, are permitted provided that the following conditions
+ *   are met:
+ *
+ *     1. Redistributions of source code must retain the above copyright
+ *        notice, this list of conditions and the following disclaimer.
+ *
+ *     2. Redistributions in binary form must reproduce the above
+ *        copyright notice, this list of conditions and the following
+ *        disclaimer in the documentation and/or other materials provided
+ *        with the distribution.
+ *
+ *     3. The names of its contributors may not be used to endorse or
+ *        promote products derived from this software without specific
+ *        prior written permission.
+ *
+ *   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+ *   "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+ *   LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+ *   A PARTICULAR PURPOSE ARE DISCLAIMED.  IN NO EVENT SHALL THE COPYRIGHT
+ *   OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+ *   SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+ *   LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+ *   DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+ *   THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+ *   (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+ *   OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+ */
+
+#define MT_N 624
+#define MT_M 397
+#define MT_MATRIX_A 0x9908b0dfU
+#define MT_UPPER_MASK 0x80000000U
+#define MT_LOWER_MASK 0x7fffffffU
+
+typedef struct {
+    uint32_t state[MT_N];
+    int index;
+} mt19937;
+
+static void mt_init_genrand(mt19937 *mt, uint32_t s) {
+    uint32_t *state = mt->state;
+    state[0] = s;
+    for (int i = 1; i < MT_N; i++)
+        state[i] = 1812433253U * (state[i - 1] ^ (state[i - 1] >> 30))
+                   + (uint32_t)i;
+    mt->index = MT_N;
+}
+
+static void mt_init_by_array(mt19937 *mt, const uint32_t *key,
+                             size_t key_length) {
+    uint32_t *state = mt->state;
+    mt_init_genrand(mt, 19650218U);
+    size_t i = 1, j = 0;
+    for (size_t k = MT_N > key_length ? MT_N : key_length; k; k--) {
+        state[i] = (state[i] ^ ((state[i - 1] ^ (state[i - 1] >> 30))
+                                * 1664525U))
+                   + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            state[0] = state[MT_N - 1];
+            i = 1;
+        }
+        if (j >= key_length)
+            j = 0;
+    }
+    for (size_t k = MT_N - 1; k; k--) {
+        state[i] = (state[i] ^ ((state[i - 1] ^ (state[i - 1] >> 30))
+                                * 1566083941U))
+                   - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            state[0] = state[MT_N - 1];
+            i = 1;
+        }
+    }
+    state[0] = 0x80000000U;
+}
+
+static uint32_t mt_genrand_uint32(mt19937 *mt) {
+    static const uint32_t mag01[2] = {0x0U, MT_MATRIX_A};
+    uint32_t *state = mt->state;
+    uint32_t y;
+    if (mt->index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (state[kk] & MT_UPPER_MASK) | (state[kk + 1] & MT_LOWER_MASK);
+            state[kk] = state[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (state[kk] & MT_UPPER_MASK) | (state[kk + 1] & MT_LOWER_MASK);
+            state[kk] = state[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (state[MT_N - 1] & MT_UPPER_MASK) | (state[0] & MT_LOWER_MASK);
+        state[MT_N - 1] = state[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt->index = 0;
+    }
+    y = state[mt->index++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+/* random.random(): a double in [0, 1) from two 32-bit words. */
+static double mt_genrand_res53(mt19937 *mt) {
+    uint32_t a = mt_genrand_uint32(mt) >> 5, b = mt_genrand_uint32(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.seed(n) for 0 <= n < 2^64: the 32-bit words of n, least
+ * significant first, and the one-word key [0] for n = 0. */
+static void mt_seed(mt19937 *mt, uint64_t seed) {
+    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    mt_init_by_array(mt, key, key[1] ? 2 : 1);
+}
+
+/* inject_uniform's draws, one sample per stream seed: each sample
+ * seeds random.Random(stream_seeds[s]) and draws one rate double per
+ * crosspoint in row-major order; a crosspoint is defective when it is
+ * below `rate`, and every defect then draws one kind double, stuck-open
+ * when it is below `stuck_open_fraction` (drawn even when that is 1).
+ * Writes every byte of functional (num_samples x rows x columns, 1 =
+ * functional), closed_rows (num_samples x rows) and closed_columns
+ * (num_samples x columns), the last two 1 on lines a stuck-closed
+ * defect poisons. */
+void repro_inject_uniform_batch(const uint64_t *stream_seeds,
+                                int64_t num_samples, int64_t rows,
+                                int64_t columns, double rate,
+                                double stuck_open_fraction,
+                                uint8_t *functional, uint8_t *closed_rows,
+                                uint8_t *closed_columns) {
+    mt19937 mt;
+    for (int64_t s = 0; s < num_samples; s++) {
+        uint8_t *cells = functional + s * rows * columns;
+        uint8_t *row_closed = closed_rows + s * rows;
+        uint8_t *column_closed = closed_columns + s * columns;
+        memset(row_closed, 0, (size_t)rows);
+        memset(column_closed, 0, (size_t)columns);
+        mt_seed(&mt, stream_seeds[s]);
+        for (int64_t r = 0; r < rows; r++) {
+            for (int64_t c = 0; c < columns; c++) {
+                int defect = mt_genrand_res53(&mt) < rate;
+                cells[r * columns + c] = !defect;
+                if (defect && !(mt_genrand_res53(&mt) < stuck_open_fraction)) {
+                    row_closed[r] = 1;
+                    column_closed[c] = 1;
+                }
+            }
+        }
+    }
 }

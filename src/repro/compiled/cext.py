@@ -30,6 +30,7 @@ _MODES = {"exact": 0, "greedy": 1, "hybrid": 2}
 
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 _I64 = ctypes.POINTER(ctypes.c_int64)
+_U64 = ctypes.POINTER(ctypes.c_uint64)
 
 
 def _compiler() -> str | None:
@@ -112,6 +113,12 @@ def _load(lib_path: Path) -> ctypes.CDLL:
         _U8, ctypes.c_int64, ctypes.c_int64, _U8,
     ]
     lib.repro_merge_distance_one.restype = ctypes.c_int64
+    lib.repro_inject_uniform_batch.argtypes = [
+        _U64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_double, ctypes.c_double,
+        _U8, _U8, _U8,
+    ]
+    lib.repro_inject_uniform_batch.restype = None
     return lib
 
 
@@ -198,6 +205,34 @@ class CKernels:
             raise MemoryError("repro_merge_distance_one scratch allocation")
         return out[:count]
 
+    def inject_uniform_batch(self, stream_seeds, rows, columns, *, rate,
+                             stuck_open_fraction):
+        """``inject_uniform``'s draws as ``(functional, closed_rows,
+        closed_columns)`` tensors, one sample per stream seed.
+
+        Sample ``s`` holds exactly what
+        :func:`repro.defects.injection.draw_uniform` draws from
+        ``random.Random(stream_seeds[s])``; seeds must lie in
+        ``[0, 2**64)``.
+        """
+        seeds = np.ascontiguousarray(stream_seeds, dtype=np.uint64)
+        if seeds.ndim != 1:
+            raise ValueError(f"stream seeds must be 1-D, got {seeds.shape}")
+        if rows < 1 or columns < 1:
+            raise ValueError(f"a {rows}x{columns} crossbar has no crosspoints")
+        num_samples = seeds.shape[0]
+        functional = np.empty((num_samples, rows, columns), dtype=np.uint8)
+        closed_rows = np.empty((num_samples, rows), dtype=bool)
+        closed_columns = np.empty((num_samples, columns), dtype=bool)
+        self._lib.repro_inject_uniform_batch(
+            seeds.ctypes.data_as(_U64), num_samples, rows, columns,
+            rate, stuck_open_fraction,
+            functional.ctypes.data_as(_U8),
+            closed_rows.ctypes.data_as(_U8),
+            closed_columns.ctypes.data_as(_U8),
+        )
+        return functional, closed_rows, closed_columns
+
 
 def kernels() -> CKernels:
     """Build + load the library and smoke-test every entry point."""
@@ -217,4 +252,10 @@ def kernels() -> CKernels:
         np.array([[0, 1], [1, 1]], dtype=np.uint8)
     )
     assert merged.shape == (1, 2)
+    # random.Random(0) draws 0.844 (below the rate: a defect), then
+    # 0.758 (not below the stuck-open fraction: stuck-closed).
+    drawn = backend.inject_uniform_batch(
+        [0], 1, 1, rate=0.9, stuck_open_fraction=0.5
+    )
+    assert [a.tolist() for a in drawn] == [[[[0]]], [[True]], [[True]]]
     return backend

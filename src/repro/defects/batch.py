@@ -9,12 +9,17 @@ process with single broadcasted NumPy passes.
 
 Determinism contract
 --------------------
-Every sample is injected with the *same* injector call as the serial
-path — ``model.inject(rows, columns, seed=derive_seed(seed, index))``
-with the sample's **global** index — so the generated defect maps are
+Every sample holds what the serial path's injector call —
+``model.inject(rows, columns, seed=derive_seed(seed, index))`` with the
+sample's **global** index — draws, so the generated defect maps are
 bit-identical to the per-object path for any defect model, any worker
-count and any chunking.  The batching happens strictly *after* the RNG
-consumption.
+count and any chunking.  By default each sample is injected with that
+very call.  Given loaded compiled ``kernels``, the built-in ``uniform``
+model (the paper's §V protocol) instead draws the whole chunk's tensors
+in one native call that replays ``random.Random``'s stream
+(:func:`~repro.defects.injection.inject_uniform_batch`), and the
+per-sample :class:`DefectMap` objects are injected only when something
+reads :attr:`DefectBatch.maps`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 
 from repro.api.seeding import derive_seed
 from repro.defects.defect_map import DefectMap
+from repro.defects.injection import inject_uniform_batch
 
 
 def repair_spare_columns(
@@ -49,6 +55,29 @@ def repair_spare_columns(
     return defect_map.restricted_to_columns(kept)
 
 
+class _InjectedMaps(Sequence):
+    """Per-sample defect maps, each injected on its first read."""
+
+    def __init__(self, model, rows: int, columns: int, seeds: list[int]):
+        self._model = model
+        self._shape = (rows, columns)
+        self._seeds = seeds
+        self._maps: list[DefectMap | None] = [None] * len(seeds)
+
+    def __len__(self) -> int:
+        return len(self._seeds)
+
+    def __getitem__(self, offset):
+        if isinstance(offset, slice):
+            return [self[index] for index in range(len(self))[offset]]
+        defect_map = self._maps[offset]
+        if defect_map is None:
+            defect_map = self._maps[offset] = self._model.inject(
+                *self._shape, seed=self._seeds[offset]
+            )
+        return defect_map
+
+
 @dataclass
 class DefectBatch:
     """A chunk of defective crossbars in tensor form.
@@ -64,6 +93,7 @@ class DefectBatch:
         the object-path fallback; ``None`` where spare-column repair
         dropped the sample (too few usable columns — an automatic
         failure for every mapper, before any mapping is attempted).
+        A natively drawn batch injects each map on first read.
     functional:
         ``(samples, rows, columns)`` uint8 — 1 where the crosspoint is
         functional.  Rows of dropped samples are left all-ones; they are
@@ -78,7 +108,7 @@ class DefectBatch:
     stop: int
     rows: int
     columns: int
-    maps: list[DefectMap | None]
+    maps: Sequence[DefectMap | None]
     functional: np.ndarray
     closed_rows: np.ndarray
     closed_columns: np.ndarray
@@ -98,6 +128,7 @@ class DefectBatch:
         start: int,
         stop: int,
         required_columns: int | None = None,
+        kernels=None,
     ) -> "DefectBatch":
         """Inject one chunk of defect maps, bit-identical to the serial path.
 
@@ -106,28 +137,44 @@ class DefectBatch:
         When ``required_columns`` is given and smaller than ``columns``,
         spare-column repair restricts every map to its best functional
         columns exactly like the serial Monte-Carlo loop does.
+        ``kernels`` is a loaded :mod:`repro.compiled` backend (or
+        ``None``); with it, the built-in ``uniform`` model without spare
+        columns is drawn in one native call.
         """
         spare_columns = required_columns is not None and columns > required_columns
         width = required_columns if spare_columns else columns
         count = stop - start
-        maps: list[DefectMap | None] = []
-        functional = np.ones((count, rows, width), dtype=np.uint8)
-        closed_rows = np.zeros((count, rows), dtype=bool)
-        closed_columns = np.zeros((count, width), dtype=bool)
+        seeds = [derive_seed(seed, index) for index in range(start, stop)]
         dropped = np.zeros(count, dtype=bool)
-        for offset, index in enumerate(range(start, stop)):
-            defect_map = model.inject(rows, columns, seed=derive_seed(seed, index))
-            if spare_columns:
-                defect_map = repair_spare_columns(defect_map, required_columns)
-                if defect_map is None:
-                    maps.append(None)
-                    dropped[offset] = True
-                    continue
-            maps.append(defect_map)
-            grid, c_rows, c_columns = defect_map.to_arrays()
-            functional[offset] = grid
-            closed_rows[offset] = c_rows
-            closed_columns[offset] = c_columns
+        profile = None
+        if kernels is not None and not spare_columns:
+            # Imported here: repro.api.defect_models imports this package.
+            from repro.api.defect_models import builtin_uniform_profile
+
+            profile = builtin_uniform_profile(model)
+        if profile is not None:
+            functional, closed_rows, closed_columns = inject_uniform_batch(
+                rows, columns, profile, seeds, kernels=kernels
+            )
+            maps = _InjectedMaps(model, rows, columns, seeds)
+        else:
+            maps = []
+            functional = np.ones((count, rows, width), dtype=np.uint8)
+            closed_rows = np.zeros((count, rows), dtype=bool)
+            closed_columns = np.zeros((count, width), dtype=bool)
+            for offset, sample_seed in enumerate(seeds):
+                defect_map = model.inject(rows, columns, seed=sample_seed)
+                if spare_columns:
+                    defect_map = repair_spare_columns(defect_map, required_columns)
+                    if defect_map is None:
+                        maps.append(None)
+                        dropped[offset] = True
+                        continue
+                maps.append(defect_map)
+                grid, c_rows, c_columns = defect_map.to_arrays()
+                functional[offset] = grid
+                closed_rows[offset] = c_rows
+                closed_columns[offset] = c_columns
         return cls(
             start=start,
             stop=stop,
@@ -138,37 +185,6 @@ class DefectBatch:
             closed_rows=closed_rows,
             closed_columns=closed_columns,
             dropped=dropped,
-        )
-
-    @classmethod
-    def from_maps(
-        cls, maps: Sequence[DefectMap], *, start: int = 0
-    ) -> "DefectBatch":
-        """Wrap pre-built defect maps of one common size into a batch."""
-        if not maps:
-            raise ValueError("a defect batch needs at least one map")
-        rows, columns = maps[0].rows, maps[0].columns
-        count = len(maps)
-        functional = np.ones((count, rows, columns), dtype=np.uint8)
-        closed_rows = np.zeros((count, rows), dtype=bool)
-        closed_columns = np.zeros((count, columns), dtype=bool)
-        for offset, defect_map in enumerate(maps):
-            if (defect_map.rows, defect_map.columns) != (rows, columns):
-                raise ValueError("all defect maps in a batch must share a size")
-            grid, c_rows, c_columns = defect_map.to_arrays()
-            functional[offset] = grid
-            closed_rows[offset] = c_rows
-            closed_columns[offset] = c_columns
-        return cls(
-            start=start,
-            stop=start + count,
-            rows=rows,
-            columns=columns,
-            maps=list(maps),
-            functional=functional,
-            closed_rows=closed_rows,
-            closed_columns=closed_columns,
-            dropped=np.zeros(count, dtype=bool),
         )
 
     def usable_row_counts(self) -> np.ndarray:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.api.seeding import derive_seed
 from repro.defects.defect_map import DefectMap
 from repro.defects.types import Defect, DefectProfile, DefectType
@@ -37,6 +39,28 @@ def _pick_kind(rng: random.Random, profile: DefectProfile) -> DefectType:
     return DefectType.STUCK_CLOSED
 
 
+#: Seed domain of :func:`inject_uniform`'s stream.
+_UNIFORM_DOMAIN = "inject-uniform"
+
+
+def draw_uniform(
+    rng: random.Random, rows: int, columns: int, profile: DefectProfile
+) -> list[Defect]:
+    """The uniform protocol's draws from ``rng``.
+
+    One rate draw per crosspoint, in row-major order; after each defect,
+    one kind draw, which happens even when every defect is stuck-open.
+    The native batch kernel behind :func:`inject_uniform_batch`
+    transcribes this loop.
+    """
+    defects = []
+    for row in range(rows):
+        for column in range(columns):
+            if rng.random() < profile.rate:
+                defects.append(Defect(row, column, _pick_kind(rng, profile)))
+    return defects
+
+
 def inject_uniform(
     rows: int,
     columns: int,
@@ -51,13 +75,32 @@ def inject_uniform(
     """
     if isinstance(profile, (int, float)):
         profile = DefectProfile(rate=float(profile))
-    rng = _injector_rng(seed, "inject-uniform")
-    defects = []
-    for row in range(rows):
-        for column in range(columns):
-            if rng.random() < profile.rate:
-                defects.append(Defect(row, column, _pick_kind(rng, profile)))
-    return DefectMap(rows, columns, defects)
+    rng = _injector_rng(seed, _UNIFORM_DOMAIN)
+    return DefectMap(rows, columns, draw_uniform(rng, rows, columns, profile))
+
+
+def inject_uniform_batch(
+    rows: int,
+    columns: int,
+    profile: DefectProfile,
+    seeds: Iterable[int],
+    *,
+    kernels,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`inject_uniform` for every seed in ``seeds``, in one native call.
+
+    Returns the ``(functional, closed_rows, closed_columns)`` tensors
+    that the maps' :meth:`~repro.defects.defect_map.DefectMap.to_arrays`
+    would give, stacked one sample per seed.  ``kernels`` is a loaded
+    :mod:`repro.compiled` backend.
+    """
+    return kernels.inject_uniform_batch(
+        [derive_seed(seed, _UNIFORM_DOMAIN) for seed in seeds],
+        rows,
+        columns,
+        rate=profile.rate,
+        stuck_open_fraction=profile.stuck_open_fraction,
+    )
 
 
 def inject_exact_count(

@@ -225,6 +225,12 @@ def map_sample_batch(
     fm = function if isinstance(function, FunctionMatrix) else FunctionMatrix(function)
     count = stop - start
 
+    kernels = None
+    if engine == "compiled":
+        from repro.compiled import get_kernels
+
+        kernels = get_kernels()
+
     shared_start = time.perf_counter()
     if batch is None:
         batch = DefectBatch.generate(
@@ -235,6 +241,7 @@ def map_sample_batch(
             start=start,
             stop=stop,
             required_columns=fm.num_columns,
+            kernels=kernels,
         )
     elif (batch.stop - batch.start) != count:
         raise MappingError(
@@ -281,12 +288,6 @@ def map_sample_batch(
     builtin = [name for name, kind in kinds.items() if kind is not None]
 
     shared_seconds = time.perf_counter() - shared_start
-
-    kernels = None
-    if engine == "compiled":
-        from repro.compiled import get_kernels
-
-        kernels = get_kernels()
 
     if builtin:
         shared_seconds += _run_builtin_mappers(

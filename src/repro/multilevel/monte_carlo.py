@@ -1,10 +1,11 @@
 """Monte-Carlo chunk execution for multi-level (per-stage) mapping.
 
 One multi-level sample is one *full* physical array — every stage's row
-bank plus shared spare columns — injected with exactly the same
-``model.inject(rows, columns, seed=derive_seed(seed, index))`` call the
-two-level engines use, so a multi-level experiment shares the two-level
-seed streams sample for sample.  Spare-column repair (when any) runs
+bank plus shared spare columns — holding exactly what the two-level
+engines' ``model.inject(rows, columns, seed=derive_seed(seed, index))``
+call draws (the compiled tier draws the same defects natively, see
+:class:`~repro.defects.batch.DefectBatch`), so a multi-level experiment
+shares the two-level seed streams sample for sample.  Spare-column repair (when any) runs
 once on the full array because all banks share the vertical lines; the
 per-stage walk then maps each stage onto its bank slice.
 
@@ -28,6 +29,7 @@ import time
 import numpy as np
 
 from repro.api.seeding import derive_seed
+from repro.compiled import get_kernels
 from repro.defects.batch import DefectBatch, repair_spare_columns
 from repro.experiments.monte_carlo import AlgorithmOutcome
 from repro.mapping.batch_kernel import map_sample_batch, mapper_kind
@@ -107,6 +109,7 @@ def _run_chunk_vectorized(
     task, plan: MultiLevelStagePlan, extra_rows: int
 ) -> dict[str, AlgorithmOutcome]:
     count = task.stop - task.start
+    kernels = get_kernels() if task.engine == "compiled" else None
 
     shared_start = time.perf_counter()
     full = DefectBatch.generate(
@@ -117,6 +120,7 @@ def _run_chunk_vectorized(
         start=task.start,
         stop=task.stop,
         required_columns=plan.num_columns,
+        kernels=kernels,
     )
     shared_seconds = time.perf_counter() - shared_start
 

@@ -487,13 +487,6 @@ class TestDefectBatch:
                     == repaired.functional_matrix()
                 )
 
-    def test_from_maps_requires_uniform_size(self):
-        maps = [DefectMap(3, 3), DefectMap(3, 4)]
-        with pytest.raises(ValueError):
-            DefectBatch.from_maps(maps)
-        with pytest.raises(ValueError):
-            DefectBatch.from_maps([])
-
     def test_to_arrays_matches_legacy_accessors(self):
         defect_map = DefectMap(
             4,

@@ -29,8 +29,15 @@ import numpy as np
 import pytest
 
 from repro import compiled
+from repro.api import defect_models
+from repro.api.defect_models import (
+    DefectModel,
+    create_defect_model,
+    register_defect_model,
+)
 from repro.api.runner import run_scenario
 from repro.api.scenarios import FunctionSource, Scenario
+from repro.api.seeding import derive_seed
 from repro.boolean.cover import Cover
 from repro.boolean.minimize import (
     BOOLEAN_ENGINES,
@@ -42,6 +49,10 @@ from repro.boolean.random_functions import RandomFunctionSpec, random_cover
 from repro.circuits import get_benchmark
 from repro.cli import build_parser, main
 from repro.compiled import _kernels_py as kernels_py
+from repro.defects.batch import DefectBatch
+from repro.defects.defect_map import DefectMap
+from repro.defects.injection import draw_uniform
+from repro.defects.types import Defect, DefectProfile, DefectType
 from repro.engines import (
     ENGINE_CHOICES,
     MAPPING_ENGINES,
@@ -292,6 +303,125 @@ class TestLoadedBackend:
             assert np.array_equal(
                 kernels.merge_distance_one(values),
                 kernels_py.merge_distance_one(values),
+            )
+
+
+def map_identity(defect_map: DefectMap | None):
+    """A defect map as comparable data (``DefectMap`` defines no ``==``)."""
+    if defect_map is None:
+        return None
+    return defect_map.rows, defect_map.columns, list(defect_map)
+
+
+@requires_backend
+class TestNativeUniformDraw:
+    """The native uniform draw against ``random.Random`` and the per-sample path."""
+
+    @pytest.mark.parametrize("raw", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_kernel_replays_random_random(self, raw):
+        kernels = compiled.get_kernels()
+        for rows, columns in [(1, 1), (3, 7), (19, 30)]:
+            for rate, fraction in [(0.1, 1.0), (0.5, 0.7), (1.0, 0.0)]:
+                profile = DefectProfile(rate=rate, stuck_open_fraction=fraction)
+                defects = draw_uniform(random.Random(raw), rows, columns, profile)
+                want = DefectMap(rows, columns, defects).to_arrays()
+                got = kernels.inject_uniform_batch(
+                    [raw], rows, columns, rate=rate, stuck_open_fraction=fraction
+                )
+                for g, w in zip(got, want):
+                    assert np.array_equal(g[0], w), (rows, columns, rate, fraction)
+
+    @pytest.mark.parametrize(
+        "rows, columns, samples",
+        [(1, 1, 4), (3, 7, 4), (19, 30, 4), (583, 44, 2)],
+        ids=["1x1", "3x7", "19x30", "583x44"],
+    )
+    def test_batch_matches_per_sample_path(self, rows, columns, samples):
+        kernels = compiled.get_kernels()
+        for rate in (0.0, 0.02, 0.1, 0.5, 1.0):
+            for fraction in (1.0, 0.7, 0.0):
+                model = create_defect_model(
+                    "uniform", rate=rate, stuck_open_fraction=fraction
+                )
+                kwargs = dict(seed=11, start=5, stop=5 + samples)
+                native = DefectBatch.generate(
+                    model, rows, columns, kernels=kernels, **kwargs
+                )
+                oracle = DefectBatch.generate(model, rows, columns, **kwargs)
+                assert len(native) == len(oracle) == samples
+                assert (native.rows, native.columns) == (oracle.rows, oracle.columns)
+                for name in ("functional", "closed_rows", "closed_columns", "dropped"):
+                    got, want = getattr(native, name), getattr(oracle, name)
+                    assert got.dtype == want.dtype, name
+                    assert np.array_equal(got, want), (name, rate, fraction)
+                assert [map_identity(m) for m in native.maps] == [
+                    map_identity(m) for m in oracle.maps
+                ]
+
+    def test_maps_are_injected_on_first_read(self, monkeypatch):
+        model = create_defect_model("uniform", rate=0.2, stuck_open_fraction=0.5)
+        calls = []
+        inject = DefectModel.inject
+
+        def counted(self, rows, columns, *, seed=0):
+            calls.append(seed)
+            return inject(self, rows, columns, seed=seed)
+
+        monkeypatch.setattr(DefectModel, "inject", counted)
+        batch = DefectBatch.generate(
+            model, 4, 5, seed=2, start=0, stop=6, kernels=compiled.get_kernels()
+        )
+        assert calls == [] and len(batch.maps) == 6
+        assert map_identity(batch.maps[3]) == map_identity(
+            inject(model, 4, 5, seed=derive_seed(2, 3))
+        )
+        assert map_identity(batch.maps[3]) == map_identity(batch.maps[-3])
+        assert calls == [derive_seed(2, 3)]
+
+    @pytest.fixture
+    def overridden_uniform(self):
+        registry = defect_models.default_registry
+        injector = registry.injector("uniform")
+        validator = registry._validators["uniform"]
+
+        def every_other_row(rows, columns, *, seed=0, rate=0.1,
+                            stuck_open_fraction=1.0):
+            del seed, rate, stuck_open_fraction
+            return DefectMap(rows, columns, [
+                Defect(row, 0, DefectType.STUCK_CLOSED)
+                for row in range(0, rows, 2)
+            ])
+
+        register_defect_model("uniform", every_other_row, override=True)
+        yield every_other_row
+        register_defect_model(
+            "uniform", injector, override=True, validate=validator
+        )
+
+    def test_overridden_uniform_keeps_the_per_sample_path(self, overridden_uniform):
+        model = create_defect_model("uniform", rate=0.1)
+        batch = DefectBatch.generate(
+            model, 5, 3, seed=4, start=0, stop=3, kernels=compiled.get_kernels()
+        )
+        want = overridden_uniform(5, 3).to_arrays()
+        for offset in range(3):
+            for got, expected in zip(
+                (batch.functional, batch.closed_rows, batch.closed_columns), want
+            ):
+                assert np.array_equal(got[offset], expected)
+            assert map_identity(batch.maps[offset]) == map_identity(
+                overridden_uniform(5, 3)
+            )
+
+    def test_rejects_arguments_the_kernel_would_overrun(self):
+        kernels = compiled.get_kernels()
+        with pytest.raises(ValueError, match="1-D"):
+            kernels.inject_uniform_batch(
+                [[1, 2]], 2, 2, rate=0.1, stuck_open_fraction=1.0
+            )
+        with pytest.raises(ValueError, match="crosspoints"):
+            kernels.inject_uniform_batch(
+                [1], 0, 2, rate=0.1, stuck_open_fraction=1.0
             )
 
 
