@@ -1,9 +1,7 @@
 """The vectorized Monte-Carlo engine: same statistics, multiples faster.
 
 Runs one Table II-style experiment on both execution engines, proves the
-counting statistics are bit-identical, reports the wall-clock speedup,
-and peeks inside the batched kernel to show how the counting pre-screen
-settles samples without invoking a per-sample mapper.
+counting statistics are bit-identical and reports the wall-clock speedup.
 
 Run with::
 
@@ -16,8 +14,6 @@ import time
 
 from repro.circuits import get_benchmark
 from repro.experiments.monte_carlo import run_mapping_monte_carlo
-from repro.mapping import FunctionMatrix, map_sample_batch
-from repro.api import create_defect_model, resolve_mappers
 
 
 def counting_statistics(result):
@@ -35,10 +31,10 @@ def counting_statistics(result):
 def main() -> None:
     function = get_benchmark("sao2")
 
-    # 1. Identical experiments on the two engines.  Both draw every
-    #    sample's defect map from the same derive_seed(seed, index)
-    #    stream, so the defect maps — and therefore every counting
-    #    statistic — are bit-identical; only wall-clock time changes.
+    # Identical experiments on the two engines.  Both draw every
+    # sample's defect map from the same derive_seed(seed, index) stream,
+    # so the defect maps — and therefore every counting statistic — are
+    # bit-identical; only wall-clock time changes.
     kwargs = dict(defect_rate=0.10, sample_size=200, seed=7, workers=1)
     start = time.perf_counter()
     reference = run_mapping_monte_carlo(function, engine="reference", **kwargs)
@@ -55,29 +51,6 @@ def main() -> None:
         f"{vectorized_elapsed:.2f} s -> "
         f"{reference_elapsed / vectorized_elapsed:.1f}x"
     )
-
-    # 2. Inside the kernel: the pre-screen's counting bounds (per-row
-    #    degree / Hall-style arguments) settle the easy mass — clean
-    #    crossbars at low rates, provably-unmappable ones at high rates,
-    #    exactly where the reference path would waste the most work.
-    #    In between, the NumPy replicas running against the shared
-    #    compatibility tensor carry the speedup.
-    fm = FunctionMatrix(function)
-    print("\nsamples decided by the counting pre-screen alone (of 200):")
-    for rate in (0.0, 0.01, 0.10, 0.30, 0.50):
-        batch = map_sample_batch(
-            function,
-            resolve_mappers(("hybrid", "exact")),
-            create_defect_model("uniform", rate=rate),
-            rows=fm.num_rows,
-            columns=fm.num_columns,
-            seed=7,
-            sample_size=200,
-        )
-        decided = {
-            name: outcome.decided() for name, outcome in batch.outcomes.items()
-        }
-        print(f"  rate {rate:4.0%}: {decided}")
 
     # The equivalent CLI runs:
     #   python -m repro run table2 --engine vectorized --workers 4

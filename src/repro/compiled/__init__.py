@@ -1,16 +1,17 @@
 """Optional compiled backend for the hot kernels.
 
 The vectorized NumPy engines (``repro.mapping.batch_kernel`` and
-``repro.boolean.packed``) still fall back to per-sample / per-cube
-Python loops for the work their counting pre-screens cannot decide,
-and draw every sample's defects in a per-crosspoint Python loop.  This
-package compiles exactly those loops, plus the tensor they read:
+``repro.boolean.packed``) still map each sample and merge each cube in
+a Python loop, and draw every sample's defects in a per-crosspoint
+Python loop.  This package compiles exactly those loops, plus the
+tensor they read:
 
 * the compatibility tensor, bit-packed into ``uint64`` column words
   instead of a BLAS matmul;
 * the built-in mapper replicas (exact saturating matching, greedy /
   hybrid first-fit with one-step backtracking) over that tensor,
-  batched across all undecided samples in one native call;
+  batched across every sample the structural screen passes in one
+  native call;
 * the distance-1 cube-merge pass of the packed Boolean minimiser;
 * the built-in ``uniform`` defect model's draws for a whole chunk, on
   a port of CPython's MT19937 that replays ``random.Random``'s stream.

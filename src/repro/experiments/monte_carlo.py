@@ -21,17 +21,22 @@ mappings — and therefore every success rate) are identical for any
 worker count.  Only the wall-clock runtime fields vary run to run, as
 they always have.
 
-Each chunk runs on one of two engines (``engine=``):
+Each chunk runs on one of three engines (``engine=``; the default
+``"auto"`` picks ``"compiled"`` when a backend loads, ``"vectorized"``
+otherwise):
 
-* ``"vectorized"`` (default) — the batched NumPy kernel of
-  :mod:`repro.mapping.batch_kernel`: one defect tensor per chunk, one
-  broadcasted compatibility pass, counting-bound pre-screen, NumPy
-  replicas for the undecided samples; third-party mappers transparently
-  fall back to the object path.
+* ``"vectorized"`` — the batched NumPy kernel of
+  :mod:`repro.mapping.batch_kernel`: one defect tensor per chunk, a
+  structural screen that rejects the samples no mapper can map, one
+  broadcasted compatibility pass over the rest and NumPy replicas that
+  map every one of them; third-party mappers transparently fall back to
+  the object path.
+* ``"compiled"`` — the same pipeline with native defect draws, tensor
+  and mapper replicas from :mod:`repro.compiled`.
 * ``"reference"`` — the original object-per-sample loop, kept as the
-  ground truth the vectorized engine is differentially tested against.
+  ground truth the batched engines are differentially tested against.
 
-Both engines consume identical per-sample seed streams and produce
+All engines consume identical per-sample seed streams and produce
 identical counting statistics; only wall-clock fields differ.
 
 Algorithms are resolved by name through :mod:`repro.api.registry`;
@@ -69,8 +74,7 @@ from repro.mapping.validate import validate_assignment
 ENGINES = ("compiled", "vectorized", "reference")
 
 #: Engines sharing the batched tensor pipeline (the compiled tier is
-#: the vectorized pipeline with native replicas for the undecided
-#: remainder).
+#: the vectorized pipeline with native kernels).
 _BATCHED_ENGINES = ("compiled", "vectorized")
 
 #: Floor on the auto chunk size under the vectorized engine: batched
@@ -415,8 +419,8 @@ def _run_chunk_vectorized(task: _ChunkTask) -> dict[str, AlgorithmOutcome]:
 
     The kernel's per-sample arrays are folded into the same
     :class:`AlgorithmOutcome` partials the serial path produces, with the
-    shared batched stages (defect tensor, compatibility pass, pre-screen)
-    attributed evenly across the mappers so runtime totals stay
+    shared batched stages (defect tensor, structural screen, compatibility
+    pass) attributed evenly across the mappers so runtime totals stay
     meaningful for throughput reports.
     """
     result = map_sample_batch(

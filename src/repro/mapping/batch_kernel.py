@@ -7,45 +7,30 @@ mapper invocation per sample.  This module is the *vectorized engine*:
 a chunk of samples is generated as one ``(samples, rows, columns)``
 tensor (:class:`~repro.defects.batch.DefectBatch`, seeded per-sample
 from the same :func:`~repro.api.seeding.derive_seed` stream, so the
-defect maps are bit-identical), every compatibility matrix is built in
-one broadcasted ``fm & ~cm`` pass
-(:func:`~repro.mapping.matching.compatibility_tensor`), and a cheap
-counting pre-screen decides many samples without ever invoking a
-per-sample mapper.  Only undecided samples fall through — and even those
-run against the precomputed compatibility tensor instead of rebuilding
-it from objects.
+defect maps are bit-identical), a structural screen rejects the samples
+no built-in mapper can map, and the compatibility matrices of all the
+others are built in one broadcasted ``fm & ~cm`` pass
+(:func:`~repro.mapping.matching.compatibility_tensor`) that the mappers
+then read instead of rebuilding them from objects.
 
 Statistics invariance
 ---------------------
 The engine's contract is that the *counting statistics* — samples,
 successes, backtracks, invalid mappings — are identical to the reference
-engine for every sample, not just in aggregate.  The pre-screen
-therefore only takes decisions that are provably neutral for the mapper
-at hand:
+engine for every sample, not just in aggregate.  The one decision taken
+without running a mapper is therefore provably neutral: the structural
+rejects (too few rows/columns, poisoned required column, too few usable
+rows) mirror :func:`~repro.mapping.matching.quick_infeasibility_check`,
+which every built-in mapper applies *before* doing any counted work.
 
-* **structural rejects** (too few rows/columns, poisoned required
-  column, too few usable rows) mirror
-  :func:`~repro.mapping.matching.quick_infeasibility_check`, which every
-  built-in mapper applies *before* doing any counted work;
-* **degree-zero rejects** (some FM row fits no usable crossbar row) are
-  applied to the exact mapper (which never backtracks) and to the greedy
-  mapper (whose backtrack counter is structurally zero); for the hybrid
-  mapper they are only applied when the minterm stage is additionally
-  guaranteed backtrack-free, because an early backtrack followed by a
-  later dead end must still be counted;
-* **counting accepts** use first-fit/Hall-style bounds under which the
-  real mapper is guaranteed to succeed *without a single backtrack*:
-  every minterm row ``i`` (in placement order) compatible with more than
-  ``i`` usable rows, and every output row compatible with at least
-  ``num_rows`` usable rows.
-
-Samples the bounds cannot decide are mapped by NumPy replicas of the
-built-in algorithms (first-fit with the paper's one-step backtracking,
-including its exact backtrack-counting semantics, plus the zero-cost
-assignment step) operating on the shared compatibility tensor.  Mappers
-that are not recognised built-ins — anything registered by third parties
-— transparently fall back to the per-sample object path, so the engine
-is safe for *every* mapper in the registry.
+Every other sample is mapped by NumPy replicas of the built-in
+algorithms (first-fit with the paper's one-step backtracking, including
+its exact backtrack-counting semantics, plus the zero-cost assignment
+step) operating on the shared compatibility tensor, or by their native
+counterparts in :mod:`repro.compiled` under ``engine="compiled"``.
+Mappers that are not recognised built-ins — anything registered by
+third parties — transparently fall back to the per-sample object path,
+so the engine is safe for *every* mapper in the registry.
 """
 
 from __future__ import annotations
@@ -69,8 +54,7 @@ from repro.mapping.validate import validate_assignment
 
 #: Decision codes recorded per (mapper, sample) — how the engine settled it.
 DECISION_REPAIR_DROP = -2  #: spare-column repair left too few columns
-DECISION_REJECT = -1  #: counting pre-screen proved failure
-DECISION_ACCEPT = 1  #: counting pre-screen proved success
+DECISION_REJECT = -1  #: structural screen proved failure
 DECISION_KERNEL = 2  #: NumPy replica of the built-in algorithm ran
 DECISION_OBJECT = 3  #: per-sample object-path fallback (opaque mapper)
 DECISION_COMPILED = 4  #: native replica batch (``engine="compiled"``)
@@ -84,7 +68,7 @@ MAX_TENSOR_CELLS = 8_000_000
 
 
 def mapper_kind(mapper) -> str | None:
-    """Classify a mapper for the pre-screen: built-in kind or ``None``.
+    """Classify a mapper: the built-in kind a kernel replicates, or ``None``.
 
     Only *exact* types are recognised — a subclass may override anything,
     so it is treated as opaque and runs on the object path.
@@ -121,12 +105,8 @@ class MapperBatchOutcome:
         return int(self.success.shape[0])
 
     def decided(self) -> int:
-        """Samples settled by the pre-screen alone (no mapper work)."""
-        return int(
-            np.isin(
-                self.decision, (DECISION_ACCEPT, DECISION_REJECT, DECISION_REPAIR_DROP)
-            ).sum()
-        )
+        """Samples settled without mapper work: structural rejects and drops."""
+        return int(np.isin(self.decision, (DECISION_REJECT, DECISION_REPAIR_DROP)).sum())
 
     def counting_statistics(self) -> dict:
         """The wall-clock-free aggregate the determinism contract covers."""
@@ -203,12 +183,12 @@ def map_sample_batch(
         out of one shared full-array tensor; the caller is responsible
         for any spare-column repair having already happened.
     engine:
-        ``"vectorized"`` (default) settles undecided samples with the
-        NumPy replicas below; ``"compiled"`` batches them through the
-        native kernels of :mod:`repro.compiled` instead (one call per
-        mapper per sub-batch).  Identical counting statistics either
-        way; when no compiled backend is loadable in this process the
-        NumPy replicas transparently take over.
+        ``"vectorized"`` (default) settles the structurally feasible
+        samples with the NumPy replicas below; ``"compiled"`` batches
+        them through the native kernels of :mod:`repro.compiled` instead
+        (one call per mapper per sub-batch).  Identical counting
+        statistics either way; when no compiled backend is loadable in
+        this process the NumPy replicas transparently take over.
     """
     if engine not in BATCH_ENGINES:
         raise MappingError(
@@ -263,54 +243,40 @@ def map_sample_batch(
     for outcome in outcomes.values():
         outcome.decision[batch.dropped] = DECISION_REPAIR_DROP
 
-    active = np.flatnonzero(~batch.dropped)
-    if active.size == 0:
-        return BatchMapResult(
-            start=start,
-            stop=stop,
-            outcomes=outcomes,
-            shared_seconds=time.perf_counter() - shared_start,
-        )
-
     # Structural screen — the vectorized quick_infeasibility_check.  The
     # built-in mappers return an uncounted failure in exactly these
-    # cases, so deciding them here is statistics-neutral.
-    num_rows_needed = fm.num_rows
-    structurally_ok = np.ones(count, dtype=bool)
-    if batch.rows < num_rows_needed or batch.columns < fm.num_columns:
-        structurally_ok[:] = False
+    # cases, so deciding them here is statistics-neutral, and the
+    # rejected samples never get a compatibility tensor.
+    feasible = ~batch.dropped
+    if batch.rows < fm.num_rows or batch.columns < fm.num_columns:
+        feasible[:] = False
     else:
-        structurally_ok &= batch.columns_usable(fm.num_columns)
-        structurally_ok &= batch.usable_row_counts() >= num_rows_needed
+        feasible &= batch.columns_usable(fm.num_columns)
+        feasible &= batch.usable_row_counts() >= fm.num_rows
 
     kinds = {name: mapper_kind(mapper) for name, mapper in mappers.items()}
-    opaque = [name for name, kind in kinds.items() if kind is None]
-    builtin = [name for name, kind in kinds.items() if kind is not None]
+    builtin = {name: kind for name, kind in kinds.items() if kind is not None}
+    opaque = {name: mappers[name] for name, kind in kinds.items() if kind is None}
 
     shared_seconds = time.perf_counter() - shared_start
 
     if builtin:
+        rejected = np.flatnonzero(~batch.dropped & ~feasible)
+        for name in builtin:
+            outcomes[name].decision[rejected] = DECISION_REJECT
         shared_seconds += _run_builtin_mappers(
             fm,
             batch,
-            {name: mappers[name] for name in builtin},
-            kinds,
+            builtin,
             outcomes,
-            active,
-            structurally_ok,
+            np.flatnonzero(feasible),
             validate=validate,
             max_tensor_cells=max_tensor_cells,
             kernels=kernels,
         )
     if opaque:
-        _run_object_fallback(
-            fm,
-            batch,
-            {name: mappers[name] for name in opaque},
-            outcomes,
-            active,
-            validate=validate,
-        )
+        active = np.flatnonzero(~batch.dropped)
+        _run_object_fallback(fm, batch, opaque, outcomes, active, validate=validate)
 
     return BatchMapResult(
         start=start, stop=stop, outcomes=outcomes, shared_seconds=shared_seconds
@@ -318,118 +284,80 @@ def map_sample_batch(
 
 
 # ----------------------------------------------------------------------
-# Built-in mapper path: shared compatibility tensor + counting pre-screen
-# + NumPy replicas for the undecided remainder.
+# Built-in mapper path: shared compatibility tensor + the settle kernel
+# (NumPy replicas, or one native call per mapper per sub-batch).
 # ----------------------------------------------------------------------
 def _run_builtin_mappers(
     fm: FunctionMatrix,
     batch: DefectBatch,
-    mappers: dict,
     kinds: dict,
     outcomes: dict,
-    active: np.ndarray,
-    structurally_ok: np.ndarray,
+    feasible: np.ndarray,
     *,
     validate: bool,
     max_tensor_cells: int,
     kernels=None,
 ) -> float:
-    """Pre-screen and map all built-in mappers; returns shared stage time.
+    """Map the structurally feasible samples; returns shared stage time.
 
-    ``kernels`` is the loaded :mod:`repro.compiled` backend (or
-    ``None``): when given, it also builds the compatibility tensor, and
-    every mapper's undecided samples are settled by one native batch
-    call instead of the per-sample NumPy replicas.
+    ``kinds`` maps each built-in mapper's label to its
+    :func:`mapper_kind`, and ``feasible`` lists the chunk offsets that
+    passed the structural screen.  ``kernels`` is the loaded
+    :mod:`repro.compiled` backend (or ``None``): when given, it also
+    builds the compatibility tensor, and each mapper settles a whole
+    sub-batch in one native call instead of the per-sample NumPy
+    replicas.
     """
     num_minterms = fm.num_minterm_rows
-    num_rows_needed = fm.num_rows
-    # Guaranteed backtrack-free first-fit: minterm row i always finds a
-    # free compatible row when it is compatible with more than i usable
-    # rows (at most i are occupied when it is placed).
-    first_fit_bound = np.arange(1, num_minterms + 1, dtype=np.int64)
-
-    sub_size = max(1, max_tensor_cells // max(1, batch.rows * num_rows_needed))
+    sub_size = max(1, max_tensor_cells // max(1, batch.rows * fm.num_rows))
     shared_seconds = 0.0
 
-    for lo in range(0, active.size, sub_size):
-        idx = active[lo : lo + sub_size]
+    for lo in range(0, feasible.size, sub_size):
+        idx = feasible[lo : lo + sub_size]
 
         shared_start = time.perf_counter()
         compat = compatibility_tensor(
             fm.matrix, batch.functional[idx], kernels=kernels
         )
         # Rows poisoned by stuck-closed defects can never host anything.
-        compat &= ~batch.closed_rows[idx][:, None, :]
-        degrees = compat.sum(axis=2, dtype=np.int64)
-        minterm_deg = degrees[:, :num_minterms]
-        output_deg = degrees[:, num_minterms:]
-
-        screen_ok = structurally_ok[idx]
-        minterm_prefix_ok = (minterm_deg >= first_fit_bound).all(axis=1)
-        outputs_hall_ok = (output_deg >= num_rows_needed).all(axis=1)
-        accept_first_fit = screen_ok & minterm_prefix_ok & outputs_hall_ok
-        any_degree_zero = (degrees == 0).any(axis=1)
+        closed = batch.closed_rows[idx]
+        compat &= ~closed[:, None, :]
         shared_seconds += time.perf_counter() - shared_start
 
-        for name, mapper in mappers.items():
-            kind = kinds[name]
+        for name, kind in kinds.items():
             outcome = outcomes[name]
-            if kind == "exact":
-                accept = screen_ok & (degrees >= num_rows_needed).all(axis=1)
-                reject = ~screen_ok | any_degree_zero
-            elif kind == "greedy":
-                accept = accept_first_fit
-                reject = ~screen_ok | any_degree_zero
-            else:  # hybrid: rejects must be provably backtrack-free
-                accept = accept_first_fit
-                reject = ~screen_ok | (
-                    minterm_prefix_ok & (output_deg == 0).any(axis=1)
-                )
-            accept &= ~reject
-
-            outcome.success[idx] = accept
-            outcome.decision[idx[accept]] = DECISION_ACCEPT
-            outcome.decision[idx[reject]] = DECISION_REJECT
-
-            undecided = np.flatnonzero(~accept & ~reject)
-            if kernels is not None and undecided.size:
+            if kernels is not None:
                 kernel_start = time.perf_counter()
-                # One native call settles every undecided sample of
-                # this mapper.
-                closed = batch.closed_rows[idx[undecided]]
                 success, backtracks, valid = kernels.map_builtin_batch(
-                    compat[undecided],
+                    compat,
                     closed,
                     num_minterms,
                     kind=kind,
                     check_validity=validate,
                 )
-                offsets = idx[undecided]
                 succeeded = success.astype(bool)
-                outcome.backtracks[offsets] = backtracks
+                outcome.backtracks[idx] = backtracks
                 if validate:
                     invalid = succeeded & ~valid.astype(bool)
-                    outcome.invalid[offsets[invalid]] = True
-                    outcome.success[offsets] = succeeded & ~invalid
+                    outcome.invalid[idx] = invalid
+                    outcome.success[idx] = succeeded & ~invalid
                 else:
-                    outcome.success[offsets] = succeeded
-                outcome.decision[offsets] = DECISION_COMPILED
-                outcome.runtime[offsets] += (
+                    outcome.success[idx] = succeeded
+                outcome.decision[idx] = DECISION_COMPILED
+                outcome.runtime[idx] += (
                     time.perf_counter() - kernel_start
-                ) / undecided.size
+                ) / idx.size
                 continue
-            for k in undecided:
-                offset = int(idx[k])
+            for k, offset in enumerate(idx):
                 sample_start = time.perf_counter()
-                usable_rows = np.flatnonzero(~batch.closed_rows[offset])
-                compat_rows = compat[k]
+                usable_rows = np.flatnonzero(~closed[k])
                 if kind == "exact":
                     success, backtracks, valid = _replica_exact(
-                        compat_rows, usable_rows
+                        compat[k], usable_rows
                     )
                 else:
                     success, backtracks, valid = _replica_hybrid(
-                        compat_rows,
+                        compat[k],
                         usable_rows,
                         num_minterms,
                         backtracking=kind == "hybrid",

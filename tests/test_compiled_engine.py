@@ -434,7 +434,7 @@ def hall_threshold_batch(rng, num_fm_rows: int, num_samples: int):
     At that density about as many samples admit a saturating matching
     as not, and the ones that do need long augmenting paths.  Every FM
     row keeps at least one compatible usable row and the usable rows
-    outnumber the FM rows, as for every sample the pre-screen leaves.
+    outnumber the FM rows, so only the matching itself can fail.
     """
     num_rows = num_fm_rows + int(rng.integers(1, 5))
     closed = np.zeros((num_samples, num_rows), dtype=np.uint8)
@@ -511,6 +511,24 @@ class TestTableIIScaleKernels:
         assert any(outcomes) and not all(outcomes)
 
     @pytest.mark.parametrize("kind", ["exact", "hybrid"])
+    @pytest.mark.parametrize("stage", ["minterm", "output"])
+    def test_a_row_with_no_compatible_row_fails_every_sample(self, kind, stage):
+        # One minterm or output row fits no usable crossbar row.  Every
+        # sample fails, but HBA may count backtracks before the dead end.
+        rng = np.random.default_rng(47)
+        num_minterms = 8
+        backtracks = 0
+        for num_fm_rows in (12, 30, 60):
+            dead = num_minterms - 1 if stage == "minterm" else num_fm_rows - 1
+            compat, closed = hall_threshold_batch(rng, num_fm_rows, 4)
+            compat[:, dead] = 0
+            assert not assert_kernels_agree(compat, closed, num_minterms, kind).any()
+            backtracks += int(compiled.get_kernels().map_builtin_batch(
+                compat, closed, num_minterms, kind=kind, check_validity=True
+            )[1].sum())
+        assert (backtracks > 0) == (kind == "hybrid")
+
+    @pytest.mark.parametrize("kind", ["exact", "hybrid"])
     @pytest.mark.parametrize("chain", [5, 12, 40])
     def test_only_a_long_augmenting_path_saturates(self, kind, chain):
         # 2 * chain + 1 >= 11 edges.  In hybrid mode every FM row is an
@@ -543,7 +561,7 @@ class TestTableIIScaleKernels:
 # ----------------------------------------------------------------------
 @requires_backend
 class TestCompiledEngineParity:
-    @pytest.mark.parametrize("rate", [0.05, 0.15])
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.15, 0.30])
     def test_counting_statistics_match_across_engines(self, rate):
         function = get_benchmark("rd53")
         kwargs = dict(
