@@ -157,15 +157,16 @@ class BatchRunner:
                 f"min_chunk_size must be >= 1, got {min_chunk_size}"
             )
         workers = self.resolved_workers(total_items)
-        size = chunk_size or max(
-            default_chunk_size(total_items, workers),
-            min(min_chunk_size, max(1, total_items)),
-        )
-        chunks = chunk_ranges(total_items, size)
+        if chunk_size is None:
+            chunk_size = max(
+                default_chunk_size(total_items, workers),
+                min(min_chunk_size, max(1, total_items)),
+            )
+        chunks = chunk_ranges(total_items, chunk_size)
         return BatchPlan(
             total=total_items,
             workers=workers,
-            chunk_size=size,
+            chunk_size=chunk_size,
             num_chunks=len(chunks),
             parallel=workers > 1 and len(chunks) > 1,
         )

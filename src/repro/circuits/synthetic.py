@@ -15,7 +15,8 @@ depend on:
   NAND mapper can extract, which is again driven by (I, O, P) and the
   literal distribution.
 
-The substitution is documented in DESIGN.md §3.
+The substitution is documented in the "Deviations" section of
+``docs/paper_map.md``.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ def _saturating(adj, allowed, match_right, visited, stack_left, stack_pos,
 
 
 def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
-    """Run one built-in mapper over every undecided sample of a batch."""
+    """Run one built-in mapper over every sample of a batch."""
     num_samples = compat.shape[0]
     num_fm_rows = compat.shape[1]
     num_rows = compat.shape[2]

@@ -13,8 +13,8 @@ crossbar layout:
   it drives, sitting in that output's ``f`` column.
 
 The design's area is ``(P + O) · (2I + 2O)``, which reproduces the area
-figures of the paper's Tables I and II (see DESIGN.md §4 for the
-calibration).
+figures of the paper's Tables I and II (see the "Deviations" section
+of ``docs/paper_map.md``).
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def two_level_area_cost(
 
     ``extra_rows`` defaults to 0, which matches every benchmark entry of
     the paper's Tables I/II; the §II running example counts one extra
-    bookkeeping row (see DESIGN.md).
+    bookkeeping row (see the "Deviations" section of
+    ``docs/paper_map.md``).
     """
     if num_inputs < 0 or num_outputs < 0 or num_products < 0:
         raise CrossbarError("I, O and P must be non-negative")

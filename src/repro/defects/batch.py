@@ -20,18 +20,25 @@ in one native call that replays ``random.Random``'s stream
 (:func:`~repro.defects.injection.inject_uniform_batch`), and the
 per-sample :class:`DefectMap` objects are injected only when something
 reads :attr:`DefectBatch.maps`.
+
+The Monte-Carlo runner draws one batch per chunk and maps it bank by
+bank: :meth:`DefectBatch.restricted_to_rows` is the batched
+:meth:`DefectMap.restricted_to_rows`, a view of one row bank of every
+sample (the whole batch for a two-level design, one bank per stage for a
+multi-level one).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.api.seeding import derive_seed
 from repro.defects.defect_map import DefectMap
 from repro.defects.injection import inject_uniform_batch
+from repro.exceptions import DefectError
 
 
 def repair_spare_columns(
@@ -55,26 +62,27 @@ def repair_spare_columns(
     return defect_map.restricted_to_columns(kept)
 
 
-class _InjectedMaps(Sequence):
-    """Per-sample defect maps, each injected on its first read."""
+#: A lazily built map not read yet (``None`` is a real entry: a sample
+#: dropped by spare-column repair).
+_UNREAD = object()
 
-    def __init__(self, model, rows: int, columns: int, seeds: list[int]):
-        self._model = model
-        self._shape = (rows, columns)
-        self._seeds = seeds
-        self._maps: list[DefectMap | None] = [None] * len(seeds)
+
+class _LazyMaps(Sequence):
+    """Per-sample defect maps, each built by ``build(offset)`` on first read."""
+
+    def __init__(self, count: int, build: Callable[[int], DefectMap | None]):
+        self._build = build
+        self._maps: list = [_UNREAD] * count
 
     def __len__(self) -> int:
-        return len(self._seeds)
+        return len(self._maps)
 
     def __getitem__(self, offset):
         if isinstance(offset, slice):
             return [self[index] for index in range(len(self))[offset]]
         defect_map = self._maps[offset]
-        if defect_map is None:
-            defect_map = self._maps[offset] = self._model.inject(
-                *self._shape, seed=self._seeds[offset]
-            )
+        if defect_map is _UNREAD:
+            defect_map = self._maps[offset] = self._build(offset)
         return defect_map
 
 
@@ -156,7 +164,10 @@ class DefectBatch:
             functional, closed_rows, closed_columns = inject_uniform_batch(
                 rows, columns, profile, seeds, kernels=kernels
             )
-            maps = _InjectedMaps(model, rows, columns, seeds)
+            maps = _LazyMaps(
+                count,
+                lambda offset: model.inject(rows, columns, seed=seeds[offset]),
+            )
         else:
             maps = []
             functional = np.ones((count, rows, width), dtype=np.uint8)
@@ -185,6 +196,35 @@ class DefectBatch:
             closed_rows=closed_rows,
             closed_columns=closed_columns,
             dropped=dropped,
+        )
+
+    def restricted_to_rows(self, start: int, stop: int) -> "DefectBatch":
+        """Every sample's contiguous physical row bank ``[start, stop)``.
+
+        The batched :meth:`DefectMap.restricted_to_rows`: the tensors are
+        views of this batch's rows, the column masks and drops are this
+        batch's own, and a sample's map is restricted only when something
+        reads it.  A bank spanning every row is this batch itself.
+        """
+        if (start, stop) == (0, self.rows):
+            return self
+        if not 0 <= start < stop <= self.rows:
+            raise DefectError(
+                f"row bank [{start}, {stop}) outside a batch of {self.rows} rows"
+            )
+
+        def bank_map(offset: int) -> DefectMap | None:
+            defect_map = self.maps[offset]
+            if defect_map is None:
+                return None
+            return defect_map.restricted_to_rows(start, stop)
+
+        return replace(
+            self,
+            rows=stop - start,
+            maps=_LazyMaps(len(self), bank_map),
+            functional=self.functional[:, start:stop],
+            closed_rows=self.closed_rows[:, start:stop],
         )
 
     def usable_row_counts(self) -> np.ndarray:

@@ -217,8 +217,11 @@ class DefectMap:
         The multi-level pipeline partitions one physical array into
         per-stage row banks sharing every vertical line; each stage is
         mapped against its own bank, so the returned map renumbers the
-        kept rows 0…stop-start-1 and keeps all columns.
+        kept rows 0…stop-start-1 and keeps all columns.  A bank spanning
+        every row is this map itself (a two-level design's one bank).
         """
+        if (start, stop) == (0, self._rows):
+            return self
         if not 0 <= start < stop <= self._rows:
             raise DefectError(
                 f"row bank [{start}, {stop}) outside a map of {self._rows} rows"

@@ -39,6 +39,17 @@ otherwise):
 All engines consume identical per-sample seed streams and produce
 identical counting statistics; only wall-clock fields differ.
 
+Row banks
+---------
+Every sample is mapped onto a list of row banks.  A two-level design is
+the one-bank case, the whole array; a multi-level design
+(``multilevel=``, paper §VI) has one bank per stage of its stage plan,
+all sharing the columns.  The reference engine walks the banks of each
+sample in order and stops at the first one that fails; the batched
+engines draw one :class:`~repro.defects.batch.DefectBatch` per chunk,
+map each bank in one call and replay the same early stop over the
+per-bank arrays.
+
 Algorithms are resolved by name through :mod:`repro.api.registry`;
 register new mappers with :func:`repro.api.register_mapper` and they are
 immediately usable here (and in every wrapper) by name.
@@ -50,12 +61,15 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from repro.api.batch import BatchRunner, chunk_ranges
 from repro.api.defect_models import DefectModel, resolve_defect_model
 from repro.api.registry import Mapper, resolve_mappers
 from repro.api.seeding import derive_seed
 from repro.boolean.function import BooleanFunction
-from repro.defects.batch import repair_spare_columns
+from repro.compiled import get_kernels
+from repro.defects.batch import DefectBatch, repair_spare_columns
 from repro.defects.types import DefectProfile
 from repro.engines import (
     MAPPING_ENGINES,
@@ -63,7 +77,11 @@ from repro.engines import (
     resolve_mapping_engine,
 )
 from repro.exceptions import ExperimentError
-from repro.mapping.batch_kernel import load_scipy_matching, map_sample_batch
+from repro.mapping.batch_kernel import (
+    MapperBatchOutcome,
+    load_scipy_matching,
+    map_sample_batch,
+)
 from repro.mapping.crossbar_matrix import CrossbarMatrix
 from repro.mapping.function_matrix import FunctionMatrix
 from repro.mapping.validate import validate_assignment
@@ -376,16 +394,41 @@ class _ChunkTask:
 
 
 def _run_chunk(task: _ChunkTask) -> dict[str, AlgorithmOutcome]:
-    """Map every sample of one chunk; pure function of the task."""
-    if task.multilevel is not None:
-        from repro.multilevel.monte_carlo import run_multilevel_chunk
+    """Map every sample of one chunk; pure function of the task.
 
-        return run_multilevel_chunk(task)
+    A sample is mapped onto row banks ``[(matrix, lo, hi)]``: a
+    two-level design is one bank spanning the whole array, a multi-level
+    design one bank per stage of its stage plan (rebuilt here —
+    technology mapping is deterministic, so every worker stages
+    identically).
+    """
+    if task.multilevel is None:
+        banks = [(FunctionMatrix(task.function), 0, task.rows)]
+    else:
+        from repro.multilevel import stage_plan_for
+
+        plan = stage_plan_for(task.function, task.multilevel)
+        bounds = plan.bank_bounds(plan.extra_rows_for(task.rows))
+        banks = [
+            (stage.matrix, lo, hi)
+            for stage, (lo, hi) in zip(plan.stages, bounds)
+        ]
     if task.engine in _BATCHED_ENGINES:
-        return _run_chunk_vectorized(task)
-    function_matrix = FunctionMatrix(task.function)
-    mappers = task.mappers
-    outcomes = {name: AlgorithmOutcome(algorithm=name) for name in mappers}
+        return _run_batched(task, banks)
+    return _run_reference(task, banks)
+
+
+def _run_reference(
+    task: _ChunkTask, banks: list[tuple[FunctionMatrix, int, int]]
+) -> dict[str, AlgorithmOutcome]:
+    """The object-per-sample walk, the ground truth of the batched path.
+
+    Each sample is injected and spare-column repaired once; then every
+    mapper walks the banks in order and stops at the first one that
+    fails to map or fails validation, counting backtracks up to and
+    including that bank.  A sample succeeds when every bank maps.
+    """
+    outcomes = {name: AlgorithmOutcome(algorithm=name) for name in task.mappers}
     spare_columns = task.columns > task.required_columns
     for sample in range(task.start, task.stop):
         defect_map = task.model.inject(
@@ -397,57 +440,96 @@ def _run_chunk(task: _ChunkTask) -> dict[str, AlgorithmOutcome]:
                 for outcome in outcomes.values():
                     outcome.samples += 1
                 continue
-        crossbar_matrix = CrossbarMatrix(defect_map)
-        for name, mapper in mappers.items():
+        crossbars = [
+            CrossbarMatrix(defect_map.restricted_to_rows(lo, hi))
+            for _, lo, hi in banks
+        ]
+        for name, mapper in task.mappers.items():
             outcome = outcomes[name]
-            mapping = mapper.map(function_matrix, crossbar_matrix)
             outcome.samples += 1
-            outcome.total_runtime += mapping.runtime_seconds
-            outcome.total_backtracks += mapping.statistics.backtracks
-            if mapping.success:
+            for (matrix, _, _), crossbar in zip(banks, crossbars):
+                mapping = mapper.map(matrix, crossbar)
+                outcome.total_runtime += mapping.runtime_seconds
+                outcome.total_backtracks += mapping.statistics.backtracks
+                if not mapping.success:
+                    break
                 if task.validate and not validate_assignment(
-                    function_matrix, crossbar_matrix, mapping
+                    matrix, crossbar, mapping
                 ):
                     outcome.invalid_mappings += 1
-                else:
-                    outcome.successes += 1
+                    break
+            else:
+                outcome.successes += 1
     return outcomes
 
 
-def _run_chunk_vectorized(task: _ChunkTask) -> dict[str, AlgorithmOutcome]:
-    """Map one chunk on the batched kernel; same outcome shape as serial.
+def _run_batched(
+    task: _ChunkTask, banks: list[tuple[FunctionMatrix, int, int]]
+) -> dict[str, AlgorithmOutcome]:
+    """The batched path: one defect batch per chunk, one kernel pass per bank.
 
-    The kernel's per-sample arrays are folded into the same
-    :class:`AlgorithmOutcome` partials the serial path produces, with the
-    shared batched stages (defect tensor, structural screen, compatibility
-    pass) attributed evenly across the mappers so runtime totals stay
-    meaningful for throughput reports.
+    The per-bank arrays are folded into the reference walk's
+    :class:`AlgorithmOutcome` partials; the shared stages (defect
+    generation, and each bank's screen and compatibility pass) are split
+    evenly over the mappers so runtime totals stay meaningful for
+    throughput reports.
     """
-    result = map_sample_batch(
-        task.function,
-        task.mappers,
+    kernels = get_kernels() if task.engine == "compiled" else None
+    shared_start = time.perf_counter()
+    batch = DefectBatch.generate(
         task.model,
-        rows=task.rows,
-        columns=task.columns,
+        task.rows,
+        task.columns,
         seed=task.seed,
         start=task.start,
         stop=task.stop,
-        validate=task.validate,
-        engine=task.engine,
+        required_columns=task.required_columns,
+        kernels=kernels,
     )
-    shared_share = result.shared_seconds / max(1, len(task.mappers))
-    outcomes = {}
-    for name, batch_outcome in result.outcomes.items():
-        counts = batch_outcome.counting_statistics()
-        outcomes[name] = AlgorithmOutcome(
-            algorithm=name,
-            successes=counts["successes"],
-            samples=counts["samples"],
-            total_runtime=float(batch_outcome.runtime.sum()) + shared_share,
-            total_backtracks=counts["total_backtracks"],
-            invalid_mappings=counts["invalid_mappings"],
+    shared_seconds = time.perf_counter() - shared_start
+    stages = []
+    for matrix, lo, hi in banks:
+        result = map_sample_batch(
+            matrix,
+            task.mappers,
+            batch.restricted_to_rows(lo, hi),
+            validate=task.validate,
+            engine=task.engine,
         )
-    return outcomes
+        shared_seconds += result.shared_seconds
+        stages.append(result.outcomes)
+    shared_share = shared_seconds / max(1, len(task.mappers))
+    return {
+        name: _fold_stages(name, [stage[name] for stage in stages], shared_share)
+        for name in task.mappers
+    }
+
+
+def _fold_stages(
+    name: str, stages: list[MapperBatchOutcome], shared_share: float
+) -> AlgorithmOutcome:
+    """Replay the reference walk over one mapper's per-bank arrays.
+
+    A sample walks on to the next bank only while banks succeed (the
+    kernel reports a validation reject as ``invalid`` with ``success``
+    False, so both ways to stop end the walk); backtracks and invalid
+    mappings count on every bank it reached, the stopping one included.
+    """
+    reached = np.ones(stages[0].samples, dtype=bool)
+    backtracks = invalid = 0
+    for stage in stages:
+        backtracks += int(stage.backtracks[reached].sum())
+        invalid += int(stage.invalid[reached].sum())
+        reached &= stage.success
+    return AlgorithmOutcome(
+        algorithm=name,
+        successes=int(reached.sum()),
+        samples=reached.size,
+        total_runtime=sum(float(stage.runtime.sum()) for stage in stages)
+        + shared_share,
+        total_backtracks=backtracks,
+        invalid_mappings=invalid,
+    )
 
 
 def run_mapping_monte_carlo(

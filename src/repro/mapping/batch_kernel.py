@@ -4,12 +4,14 @@ The serial Monte-Carlo path (the *reference engine*) materialises one
 :class:`~repro.defects.defect_map.DefectMap`, one
 :class:`~repro.mapping.crossbar_matrix.CrossbarMatrix` and one full
 mapper invocation per sample.  This module is the *vectorized engine*:
-a chunk of samples is generated as one ``(samples, rows, columns)``
-tensor (:class:`~repro.defects.batch.DefectBatch`, seeded per-sample
-from the same :func:`~repro.api.seeding.derive_seed` stream, so the
-defect maps are bit-identical), a structural screen rejects the samples
-no built-in mapper can map, and the compatibility matrices of all the
-others are built in one broadcasted ``fm & ~cm`` pass
+it maps a chunk of samples handed to it as one ``(samples, rows,
+columns)`` tensor (:class:`~repro.defects.batch.DefectBatch`, which the
+Monte-Carlo runner of :mod:`repro.experiments.monte_carlo` draws once
+per chunk from the same :func:`~repro.api.seeding.derive_seed` stream,
+so the defect maps are bit-identical, and hands over one row bank at a
+time).  A structural screen rejects the samples no built-in mapper can
+map, and the compatibility matrices of all the others are built in one
+broadcasted ``fm & ~cm`` pass
 (:func:`~repro.mapping.matching.compatibility_tensor`) that the mappers
 then read instead of rebuilding them from objects.
 
@@ -138,17 +140,10 @@ class BatchMapResult:
 def map_sample_batch(
     function: BooleanFunction | FunctionMatrix,
     mappers: dict,
-    model,
+    batch: DefectBatch,
     *,
-    rows: int,
-    columns: int,
-    seed: int = 0,
-    start: int = 0,
-    stop: int | None = None,
-    sample_size: int | None = None,
     validate: bool = True,
     max_tensor_cells: int = MAX_TENSOR_CELLS,
-    batch: DefectBatch | None = None,
     engine: str = "vectorized",
 ) -> BatchMapResult:
     """Map one chunk of the Monte-Carlo sample stream, vectorized.
@@ -161,27 +156,17 @@ def map_sample_batch(
     mappers:
         ``{label: mapper instance}`` as produced by
         :func:`repro.api.registry.resolve_mappers`.
-    model:
-        A defect model with the ``inject(rows, columns, seed=...)``
-        protocol; every sample ``i`` is seeded ``derive_seed(seed, i)``
-        exactly like the reference engine.  Ignored when ``batch`` is
-        given.
-    rows / columns:
-        Physical crossbar dimensions (optimum size plus redundancy).
-    start / stop / sample_size:
-        Global sample-index range; ``sample_size`` is a convenience for
-        ``stop = start + sample_size``.
+    batch:
+        The chunk's defects as a :class:`~repro.defects.batch.DefectBatch`
+        over the global sample range ``[batch.start, batch.stop)``, with
+        any spare-column repair already applied.  A multi-level run hands
+        over one row bank of its chunk at a time
+        (:meth:`~repro.defects.batch.DefectBatch.restricted_to_rows`).
     validate:
         Double-check successful mappings and count violations separately
         (mirrors the reference engine's flag).
     max_tensor_cells:
         Sub-batch cap on ``samples x rows x fm_rows`` cells.
-    batch:
-        A pre-built :class:`~repro.defects.batch.DefectBatch` covering
-        ``[start, stop)`` to map against instead of injecting one here.
-        The multi-level pipeline uses this to slice per-stage row banks
-        out of one shared full-array tensor; the caller is responsible
-        for any spare-column repair having already happened.
     engine:
         ``"vectorized"`` (default) settles the structurally feasible
         samples with the NumPy replicas below; ``"compiled"`` batches
@@ -195,15 +180,9 @@ def map_sample_batch(
             f"unknown batch engine {engine!r}; expected one of "
             f"{list(BATCH_ENGINES)}"
         )
-    if stop is None:
-        if sample_size is None:
-            raise MappingError("map_sample_batch needs stop= or sample_size=")
-        stop = start + sample_size
-    if stop < start:
-        raise MappingError(f"invalid sample range [{start}, {stop})")
 
     fm = function if isinstance(function, FunctionMatrix) else FunctionMatrix(function)
-    count = stop - start
+    count = len(batch)
 
     kernels = None
     if engine == "compiled":
@@ -212,23 +191,6 @@ def map_sample_batch(
         kernels = get_kernels()
 
     shared_start = time.perf_counter()
-    if batch is None:
-        batch = DefectBatch.generate(
-            model,
-            rows,
-            columns,
-            seed=seed,
-            start=start,
-            stop=stop,
-            required_columns=fm.num_columns,
-            kernels=kernels,
-        )
-    elif (batch.stop - batch.start) != count:
-        raise MappingError(
-            f"pre-built batch covers {batch.stop - batch.start} samples, "
-            f"expected {count}"
-        )
-
     outcomes = {
         name: MapperBatchOutcome(
             algorithm=name,
@@ -279,7 +241,10 @@ def map_sample_batch(
         _run_object_fallback(fm, batch, opaque, outcomes, active, validate=validate)
 
     return BatchMapResult(
-        start=start, stop=stop, outcomes=outcomes, shared_seconds=shared_seconds
+        start=batch.start,
+        stop=batch.stop,
+        outcomes=outcomes,
+        shared_seconds=shared_seconds,
     )
 
 

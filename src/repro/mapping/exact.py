@@ -29,9 +29,6 @@ class ExactMapper:
 
     algorithm_name = "exact"
 
-    def __init__(self, *, assignment_backend: str = "auto"):
-        self._assignment_backend = assignment_backend
-
     def map(
         self,
         function_matrix: FunctionMatrix | BooleanFunction,
@@ -59,7 +56,7 @@ class ExactMapper:
         statistics.assignment_size = tuple(costs.shape)
         statistics.compatibility_checks = int(costs.size)
 
-        assignment = zero_cost_assignment(costs, backend=self._assignment_backend)
+        assignment = zero_cost_assignment(costs)
         if assignment is None:
             return MappingResult(
                 success=False,

@@ -37,18 +37,12 @@ class HybridMapper:
     ----------
     backtracking:
         Disable to obtain the pure-greedy ablation variant.
-    assignment_backend:
-        Passed to the Munkres solver (``"auto"``, ``"python"`` or
-        ``"scipy"``).
     """
 
     algorithm_name = "hybrid"
 
-    def __init__(
-        self, *, backtracking: bool = True, assignment_backend: str = "auto"
-    ):
+    def __init__(self, *, backtracking: bool = True):
         self._backtracking = bool(backtracking)
-        self._assignment_backend = assignment_backend
 
     def map(
         self,
@@ -99,9 +93,7 @@ class HybridMapper:
             )
             statistics.matching_matrix_entries += int(costs.size)
             statistics.assignment_size = tuple(costs.shape)
-            assignment = zero_cost_assignment(
-                costs, backend=self._assignment_backend
-            )
+            assignment = zero_cost_assignment(costs)
             if assignment is None:
                 return self._failure(
                     "Munkres found no zero-cost assignment for the output rows",
@@ -147,8 +139,8 @@ class GreedyMapper(HybridMapper):
 
     algorithm_name = "greedy"
 
-    def __init__(self, *, assignment_backend: str = "auto"):
-        super().__init__(backtracking=False, assignment_backend=assignment_backend)
+    def __init__(self):
+        super().__init__(backtracking=False)
 
 
 def map_with_dual_selection(

@@ -6,8 +6,10 @@ The package stages a technology-mapped NAND network
 the existing defect-tolerant mappers independently on each bank,
 reporting whole-network survival.  It plugs into the Monte-Carlo
 harness via the ``multilevel=`` spec of
-:func:`repro.experiments.monte_carlo.run_mapping_monte_carlo` and into
-the fluent API via ``Design.decompose().tech_map()``.
+:func:`repro.experiments.monte_carlo.run_mapping_monte_carlo`, whose
+chunk runner maps a two-level design as one bank and a staged design as
+one bank per stage, and into the fluent API via
+``Design.decompose().tech_map()``.
 """
 
 from repro.multilevel.mapping import (
@@ -15,7 +17,6 @@ from repro.multilevel.mapping import (
     StageMappingOutcome,
     map_multilevel,
 )
-from repro.multilevel.monte_carlo import run_multilevel_chunk
 from repro.multilevel.staging import (
     MULTILEVEL_SPEC_DEFAULTS,
     MultiLevelStagePlan,
@@ -36,6 +37,5 @@ __all__ = [
     "build_stage_plan",
     "map_multilevel",
     "normalize_multilevel_spec",
-    "run_multilevel_chunk",
     "stage_plan_for",
 ]

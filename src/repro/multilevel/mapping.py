@@ -4,9 +4,10 @@ One multi-level sample is mapped stage by stage in evaluation order:
 every stage's requirement rows are placed onto its physical row bank by
 an unmodified two-level mapper, and the network survives iff **every**
 stage maps (and validates).  The walk stops at the first non-surviving
-stage — exactly the fold the vectorized engine replicates
-(:mod:`repro.multilevel.monte_carlo`), so backtrack counts agree
-sample for sample between the engines.
+stage — the same walk the Monte-Carlo chunk runner of
+:mod:`repro.experiments.monte_carlo` makes over a sample's row banks,
+and replays over the batched engines' per-bank arrays, so backtrack
+counts agree sample for sample between the engines.
 """
 
 from __future__ import annotations

@@ -219,6 +219,10 @@ class Orchestrator:
     ):
         if workers is not None and workers < 1:
             raise ExperimentError(f"workers must be >= 1 or None, got {workers}")
+        if chunk_size is not None and chunk_size < 1:
+            raise ExperimentError(
+                f"chunk_size must be >= 1 or None, got {chunk_size}"
+            )
         if chunk_timeout is not None and chunk_timeout <= 0:
             raise ExperimentError(
                 f"chunk_timeout must be positive or None, got {chunk_timeout}"

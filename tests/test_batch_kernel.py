@@ -26,10 +26,11 @@ from repro.api.defect_models import create_defect_model
 from repro.api.seeding import derive_seed
 from repro.boolean.random_functions import random_multi_output_function
 from repro.circuits import get_benchmark
+from repro.compiled import get_kernels
 from repro.defects.batch import DefectBatch, repair_spare_columns
 from repro.defects.defect_map import DefectMap
 from repro.defects.types import Defect, DefectType
-from repro.exceptions import ExperimentError, MappingError
+from repro.exceptions import DefectError, ExperimentError, MappingError
 from repro.experiments.monte_carlo import run_mapping_monte_carlo
 from repro.mapping import batch_kernel
 from repro.mapping.batch_kernel import (
@@ -88,6 +89,17 @@ def reference_per_sample(
     return per_sample
 
 
+def generate_batch(
+    function, model, rows, columns, *, seed, start, stop, engine="vectorized"
+):
+    """A chunk's defect batch, drawn as the Monte-Carlo runner draws it."""
+    return DefectBatch.generate(
+        model, rows, columns, seed=seed, start=start, stop=stop,
+        required_columns=FunctionMatrix(function).num_columns,
+        kernels=get_kernels() if engine == "compiled" else None,
+    )
+
+
 def assert_batch_matches_reference(batch_result, reference):
     """Sample-for-sample comparison of kernel arrays vs the serial loop."""
     for name, triples in reference.items():
@@ -134,12 +146,10 @@ class TestDifferentialRandomized:
         batch = map_sample_batch(
             function,
             mappers,
-            model,
-            rows=fm.num_rows,
-            columns=fm.num_columns,
-            seed=seed,
-            start=0,
-            stop=25,
+            generate_batch(
+                function, model, fm.num_rows, fm.num_columns,
+                seed=seed, start=0, stop=25,
+            ),
         )
         reference = reference_per_sample(
             function, model, fm.num_rows, fm.num_columns, mappers,
@@ -154,8 +164,8 @@ class TestDifferentialRandomized:
         mappers = standard_mappers()
         rows, columns = fm.num_rows + 2, fm.num_columns + 3
         batch = map_sample_batch(
-            function, mappers, model,
-            rows=rows, columns=columns, seed=9, start=0, stop=30,
+            function, mappers,
+            generate_batch(function, model, rows, columns, seed=9, start=0, stop=30),
         )
         reference = reference_per_sample(
             function, model, rows, columns, mappers, seed=9, start=0, stop=30
@@ -176,9 +186,11 @@ class TestDifferentialRandomized:
             create_defect_model("exact-count", count=30),
         ):
             batch = map_sample_batch(
-                function, mappers, model,
-                rows=fm.num_rows, columns=fm.num_columns,
-                seed=17, start=0, stop=20,
+                function, mappers,
+                generate_batch(
+                    function, model, fm.num_rows, fm.num_columns,
+                    seed=17, start=0, stop=20,
+                ),
             )
             reference = reference_per_sample(
                 function, model, fm.num_rows, fm.num_columns, mappers,
@@ -191,13 +203,12 @@ class TestDifferentialRandomized:
         fm = FunctionMatrix(function)
         model = create_defect_model("uniform", rate=0.1)
         mappers = {"hybrid": HybridMapper()}
+        shape = (function, model, fm.num_rows, fm.num_columns)
         whole = map_sample_batch(
-            function, mappers, model,
-            rows=fm.num_rows, columns=fm.num_columns, seed=3, start=0, stop=20,
+            function, mappers, generate_batch(*shape, seed=3, start=0, stop=20)
         )
         tail = map_sample_batch(
-            function, mappers, model,
-            rows=fm.num_rows, columns=fm.num_columns, seed=3, start=12, stop=20,
+            function, mappers, generate_batch(*shape, seed=3, start=12, stop=20)
         )
         assert (
             whole.outcomes["hybrid"].success[12:].tolist()
@@ -220,13 +231,12 @@ class TestDifferentialRandomized:
         fm = FunctionMatrix(function)
         model = create_defect_model("uniform", rate=0.1)
         mappers = standard_mappers()
+        shape = (function, model, fm.num_rows, fm.num_columns)
         one = map_sample_batch(
-            function, mappers, model,
-            rows=fm.num_rows, columns=fm.num_columns, seed=29, start=0, stop=24,
+            function, mappers, generate_batch(*shape, seed=29, start=0, stop=24)
         )
         tiny = map_sample_batch(
-            function, mappers, model,
-            rows=fm.num_rows, columns=fm.num_columns, seed=29, start=0, stop=24,
+            function, mappers, generate_batch(*shape, seed=29, start=0, stop=24),
             max_tensor_cells=1,  # forces one-sample sub-batches
         )
         assert one.counting_statistics() == tiny.counting_statistics()
@@ -276,8 +286,11 @@ class TestOpaqueMapperFallback:
         model = create_defect_model("uniform", rate=0.04)
         mappers = {"counting": _CountingMapper(), "hybrid": HybridMapper()}
         batch = map_sample_batch(
-            function, mappers, model,
-            rows=fm.num_rows, columns=fm.num_columns, seed=7, start=0, stop=15,
+            function, mappers,
+            generate_batch(
+                function, model, fm.num_rows, fm.num_columns,
+                seed=7, start=0, stop=15,
+            ),
         )
         reference = reference_per_sample(
             function, model, fm.num_rows, fm.num_columns, mappers,
@@ -311,9 +324,12 @@ class TestPrescreenProperties:
         model = create_defect_model("uniform", rate=rate, stuck_open_fraction=0.9)
         mappers = standard_mappers()
         batch = map_sample_batch(
-            function, mappers, model,
-            rows=fm.num_rows, columns=fm.num_columns,
-            seed=seed, start=0, stop=40, engine=engine,
+            function, mappers,
+            generate_batch(
+                function, model, fm.num_rows, fm.num_columns,
+                seed=seed, start=0, stop=40, engine=engine,
+            ),
+            engine=engine,
         )
         return function, fm, model, mappers, batch
 
@@ -358,9 +374,12 @@ class TestPrescreenProperties:
         model = create_defect_model("uniform", rate=0.0)
         for engine in ("vectorized", "compiled"):
             batch = map_sample_batch(
-                function, standard_mappers(), model,
-                rows=fm.num_rows, columns=fm.num_columns,
-                seed=1, start=0, stop=10, engine=engine,
+                function, standard_mappers(),
+                generate_batch(
+                    function, model, fm.num_rows, fm.num_columns,
+                    seed=1, start=0, stop=10, engine=engine,
+                ),
+                engine=engine,
             )
             for name, outcome in batch.outcomes.items():
                 assert outcome.success.all(), (engine, name)
@@ -508,6 +527,69 @@ class TestDefectBatch:
                     == repaired.functional_matrix()
                 )
 
+    @pytest.mark.parametrize("native", [False, True])
+    def test_row_bank_is_a_view_with_lazy_maps(self, monkeypatch, native):
+        kernels = get_kernels() if native else None
+        if native and kernels is None:
+            pytest.skip("no compiled backend to draw the batch natively")
+        model = create_defect_model("uniform", rate=0.2, stuck_open_fraction=0.5)
+        batch = DefectBatch.generate(
+            model, 7, 5, seed=11, start=3, stop=13, kernels=kernels
+        )
+        restricted = []
+        restrict = DefectMap.restricted_to_rows
+
+        def counting(self, start, stop):
+            restricted.append((start, stop))
+            return restrict(self, start, stop)
+
+        monkeypatch.setattr(DefectMap, "restricted_to_rows", counting)
+        bank = batch.restricted_to_rows(2, 5)
+        assert (bank.start, bank.stop, bank.rows, bank.columns) == (3, 13, 3, 5)
+        assert np.shares_memory(bank.functional, batch.functional)
+        assert np.shares_memory(bank.closed_rows, batch.closed_rows)
+        assert bank.functional.tolist() == batch.functional[:, 2:5].tolist()
+        assert bank.closed_rows.tolist() == batch.closed_rows[:, 2:5].tolist()
+        assert bank.dropped is batch.dropped
+        assert bank.closed_columns is batch.closed_columns
+        assert restricted == []
+        for offset in (1, 6, 1):
+            defect_map = bank.maps[offset]
+            assert defect_map.rows == 3
+            assert defect_map.functional_matrix() == bank.functional[offset].tolist()
+        # Only the offsets read were restricted, each once.
+        assert restricted == [(2, 5), (2, 5)]
+        # A bank spanning every row is the batch itself.
+        assert batch.restricted_to_rows(0, 7) is batch
+        with pytest.raises(DefectError):
+            batch.restricted_to_rows(4, 8)
+
+    def test_row_bank_keeps_spare_column_drops(self, monkeypatch):
+        model = create_defect_model("uniform", rate=0.15, stuck_open_fraction=0.7)
+        batch = DefectBatch.generate(
+            model, 5, 9, seed=7, start=0, stop=20, required_columns=6
+        )
+        assert batch.dropped.any() and not batch.dropped.all()
+        restricted = []
+        restrict = DefectMap.restricted_to_rows
+
+        def counting(self, start, stop):
+            restricted.append(start)
+            return restrict(self, start, stop)
+
+        monkeypatch.setattr(DefectMap, "restricted_to_rows", counting)
+        bank = batch.restricted_to_rows(2, 5)
+        assert bank.columns == 6
+        for offset in range(len(bank)):
+            if batch.dropped[offset]:
+                assert bank.maps[offset] is None
+            else:
+                assert bank.maps[offset].functional_matrix() == (
+                    bank.functional[offset].tolist()
+                )
+        # A dropped sample has no map to restrict.
+        assert len(restricted) == int((~batch.dropped).sum())
+
     def test_to_arrays_matches_legacy_accessors(self):
         defect_map = DefectMap(
             4,
@@ -561,3 +643,8 @@ class TestBatchPlanFloor:
     def test_invalid_floor_rejected(self):
         with pytest.raises(ExperimentError):
             BatchRunner(1).plan(10, min_chunk_size=0)
+
+    def test_zero_chunk_size_rejected(self):
+        # Zero used to fall through to the auto size.
+        with pytest.raises(ExperimentError, match="chunk_size"):
+            BatchRunner(4).plan(200, 0, min_chunk_size=32)

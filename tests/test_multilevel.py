@@ -339,8 +339,9 @@ class TestMonteCarloMultilevel:
 
     def test_opaque_mapper_uses_object_path(self, rd53):
         # A wrapper the kernel cannot recognise forces the per-sample
-        # object fallback inside the vectorized engine; results must not
-        # depend on which path ran.
+        # object fallback inside the batched engine, which then reads the
+        # maps of row banks cut from a column-repaired chunk; results
+        # must equal the reference walk whichever path ran.
         class Wrapped:
             def __init__(self):
                 self._inner = HybridMapper()
@@ -352,7 +353,12 @@ class TestMonteCarloMultilevel:
             sample_size=15,
             seed=9,
             extra_rows=1,
+            extra_columns=2,
             multilevel={"strategy": "best"},
+        )
+        reference = run_mapping_monte_carlo(
+            rd53, algorithms={"hybrid": HybridMapper()}, engine="reference",
+            **settings,
         )
         native = run_mapping_monte_carlo(
             rd53, algorithms={"hybrid": HybridMapper()}, **settings
@@ -360,7 +366,8 @@ class TestMonteCarloMultilevel:
         opaque = run_mapping_monte_carlo(
             rd53, algorithms={"hybrid": Wrapped()}, **settings
         )
-        assert strip_runtimes(native) == strip_runtimes(opaque)
+        assert strip_runtimes(native) == strip_runtimes(reference)
+        assert strip_runtimes(opaque) == strip_runtimes(reference)
 
 
 class TestScenarioIntegration:

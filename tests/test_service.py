@@ -217,6 +217,15 @@ class TestMergeOverlapValidation:
 # Orchestrator
 # ----------------------------------------------------------------------
 class TestOrchestrator:
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_non_positive_chunk_size_rejected(self, tmp_path, chunk_size):
+        # Refused where it enters, not by every job it would fail.
+        with pytest.raises(ExperimentError, match="chunk_size"):
+            Orchestrator(
+                CheckpointStore(tmp_path / "ckpt"), workers=1,
+                chunk_size=chunk_size,
+            )
+
     def test_job_matches_direct_run_and_checkpoints(self, tmp_path):
         scenario = tiny_scenario(redundancy=((0, 0), (1, 1)), samples=30)
         checkpoints = CheckpointStore(tmp_path / "ckpt")
