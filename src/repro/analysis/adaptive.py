@@ -11,6 +11,12 @@ typically orders of magnitude below the worst-case fixed budget
 (:func:`~repro.analysis.confidence.fixed_sample_budget`) because real
 yields sit near the extremes where binomial variance collapses.
 
+A fixed budget is the schedule's one-batch case: with
+``tolerance=None`` the loop draws ``max_samples`` in one batch and
+stops, so every Monte-Carlo row — fixed or adaptive, in process or in
+the service — runs through :func:`adaptive_loop`, and this module is
+the one place that tells the two apart.
+
 Determinism guarantees (tested in ``tests/test_analysis.py``):
 
 * **Seed-stream invariance** — batch *k* covers the global sample range
@@ -100,7 +106,8 @@ class AdaptiveResult:
     """The outcome of one adaptive Monte-Carlo run."""
 
     monte_carlo: MonteCarloResult
-    tolerance: float
+    #: The CI half-width target (``None`` = a fixed budget, one batch).
+    tolerance: float | None
     confidence: float
     method: str
     converged: bool
@@ -138,6 +145,11 @@ class AdaptiveResult:
     def summary(self) -> str:
         """One-line human-readable verdict."""
         status = "converged" if self.converged else "budget exhausted"
+        precision = (
+            "fixed budget"
+            if self.tolerance is None
+            else f"tolerance {self.tolerance:g}"
+        )
         parts = ", ".join(
             f"{name}={estimate.describe()}"
             for name, estimate in sorted(self.estimates().items())
@@ -145,7 +157,7 @@ class AdaptiveResult:
         return (
             f"{self.monte_carlo.function_name}: {status} after "
             f"{self.samples_used} samples ({len(self.batches)} batches, "
-            f"tolerance {self.tolerance:g}): {parts}"
+            f"{precision}): {parts}"
         )
 
     def row_summary(self) -> dict:
@@ -194,7 +206,7 @@ class AdaptiveResult:
 def run_adaptive_monte_carlo(
     function: BooleanFunction,
     *,
-    tolerance: float,
+    tolerance: float | None,
     confidence: float = 0.95,
     method: str = "wilson",
     defect_rate: float = 0.10,
@@ -226,7 +238,8 @@ def run_adaptive_monte_carlo(
     tolerance:
         Target CI half-width (e.g. ``0.005`` = ±0.5 %).  The loop stops
         as soon as every tracked algorithm's half-width is at or below
-        it.
+        it.  ``None`` is a fixed budget: one batch of ``max_samples``,
+        the paper's protocol, reported as converged.
     track:
         Converge on one algorithm's CI only (``"hybrid"``); default
         ``None`` requires *all* raced algorithms to reach the tolerance.
@@ -244,7 +257,7 @@ def run_adaptive_monte_carlo(
         the number of rounds (and engine round-trips) logarithmic while
         bounding overshoot past the stopping point to one batch.
     """
-    if not 0.0 < tolerance < 0.5:
+    if tolerance is not None and not 0.0 < tolerance < 0.5:
         raise ExperimentError(f"tolerance must lie in (0, 0.5), got {tolerance}")
     if method not in CI_METHODS:
         raise ExperimentError(
@@ -317,7 +330,7 @@ def run_adaptive_monte_carlo(
 
 def adaptive_loop(
     *,
-    tolerance: float,
+    tolerance: float | None,
     confidence: float = 0.95,
     method: str = "wilson",
     track: str | None = None,
@@ -335,15 +348,16 @@ def adaptive_loop(
     rule stops.  :func:`run_adaptive_monte_carlo` drives it with
     ``run_mapping_monte_carlo``; the service orchestrator drives it with
     checkpointed chunk waves, so both stop at the same sample count.
-    The keywords are those of :func:`run_adaptive_monte_carlo`, which
-    validates them.
+    ``tolerance=None`` yields the one batch ``(0, max_samples)`` and
+    stops.  The keywords are those of :func:`run_adaptive_monte_carlo`,
+    which validates them.
     """
     min_samples = min(min_samples, max_samples)
     result: MonteCarloResult | None = None
     batches: list[AdaptiveBatch] = []
     converged = False
     offset = 0
-    batch = initial_batch
+    batch = initial_batch if tolerance is not None else max_samples
     while offset < max_samples:
         size = min(batch, max_samples - offset)
         partial = yield offset, size
@@ -369,7 +383,9 @@ def adaptive_loop(
         tracked = (
             [half_widths[track]] if track is not None else half_widths.values()
         )
-        if offset >= min_samples and max(tracked) <= tolerance:
+        if tolerance is None or (
+            offset >= min_samples and max(tracked) <= tolerance
+        ):
             converged = True
             break
         batch = min(math.ceil(batch * growth), max_batch)

@@ -7,8 +7,9 @@ meets it.  The paper names exactly this trade-off ("area cost with
 redundant lines vs. defect tolerance performance") as future work.
 
 :func:`optimize_spares` enumerates candidate allocations in ascending
-physical-area order, estimates each candidate's yield (adaptively when
-``tolerance`` is set, else at a fixed budget) and stops at the first
+physical-area order, estimates each candidate's yield with one
+adaptive-sampler run (to a CI half-width when ``tolerance`` is set,
+else its one-batch case, a fixed budget) and stops at the first
 candidate meeting the target — which the area ordering makes the
 minimum-area solution among the searched grid, without ever simulating
 an allocation larger than needed.  All evaluated candidates are kept as
@@ -29,7 +30,6 @@ from repro.api.defect_models import DefectModel, resolve_defect_model
 from repro.boolean.function import BooleanFunction
 from repro.circuits.registry import get_benchmark
 from repro.exceptions import ExperimentError
-from repro.experiments.monte_carlo import run_mapping_monte_carlo
 from repro.experiments.report import format_table
 from repro.mapping.function_matrix import FunctionMatrix
 
@@ -208,9 +208,9 @@ def optimize_spares(
         The searched grid is ``[0, max_extra_rows] x [0,
         max_extra_columns]``.
     tolerance / samples / max_samples:
-        Per-candidate sampling: adaptive to a CI half-width when
-        ``tolerance`` is set (``max_samples`` caps the budget), else a
-        fixed ``samples``-sized batch.
+        Per-candidate sampling, one adaptive-sampler run each: to a CI
+        half-width when ``tolerance`` is set (``max_samples`` caps the
+        budget), else the sampler's one batch of ``samples``.
     criterion:
         ``"point"`` accepts a candidate when its point estimate reaches
         the target; ``"lower"`` demands the CI lower bound does —
@@ -262,42 +262,23 @@ def optimize_spares(
         defect_model=model.to_dict(),
         best=None,
     )
+    budget = samples if tolerance is None else max_samples
     for extra_rows, extra_columns in candidates:
-        if tolerance is not None:
-            adaptive = run_adaptive_monte_carlo(
-                function,
-                tolerance=tolerance,
-                confidence=confidence,
-                method=method,
-                defect_model=model,
-                algorithms=(algorithm,),
-                seed=seed,
-                extra_rows=extra_rows,
-                extra_columns=extra_columns,
-                workers=workers,
-                engine=engine,
-                max_samples=max_samples,
-            )
-            estimate = adaptive.estimate(algorithm)
-            used = adaptive.samples_used
-            converged = adaptive.converged
-        else:
-            monte_carlo = run_mapping_monte_carlo(
-                function,
-                defect_model=model,
-                sample_size=samples,
-                algorithms=(algorithm,),
-                seed=seed,
-                extra_rows=extra_rows,
-                extra_columns=extra_columns,
-                workers=workers,
-                engine=engine,
-            )
-            estimate = monte_carlo.yield_estimate(
-                algorithm, confidence=confidence, method=method
-            )
-            used = monte_carlo.sample_size
-            converged = True
+        adaptive = run_adaptive_monte_carlo(
+            function,
+            tolerance=tolerance,
+            confidence=confidence,
+            method=method,
+            defect_model=model,
+            algorithms=(algorithm,),
+            seed=seed,
+            extra_rows=extra_rows,
+            extra_columns=extra_columns,
+            workers=workers,
+            engine=engine,
+            max_samples=budget,
+        )
+        estimate = adaptive.estimate(algorithm)
         achieved = (
             estimate.point if criterion == "point" else estimate.lower
         )
@@ -312,8 +293,8 @@ def optimize_spares(
             area=rows * columns,
             area_overhead=rows * columns / base_area - 1.0,
             estimate=estimate,
-            samples=used,
-            converged=converged,
+            samples=adaptive.samples_used,
+            converged=adaptive.converged,
             meets_target=meets,
         )
         result.evaluated.append(candidate)

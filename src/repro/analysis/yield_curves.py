@@ -16,9 +16,10 @@ level meeting a yield target at a given rate (the sweep-shaped
 counterpart of the frontier search in :mod:`repro.analysis.spares`).
 
 Both are computed by :func:`compute_yield_curve` /
-:func:`compute_yield_surface` on top of the adaptive sampler (pass
-``tolerance=``) or at a fixed per-point budget (``tolerance=None``),
-and both serialize to plain dicts for the JSONL artifact store.
+:func:`compute_yield_surface`, one adaptive-sampler run per point:
+adaptive to a CI half-width (pass ``tolerance=``) or its one-batch
+case, a fixed per-point budget (``tolerance=None``).  Both serialize
+to plain dicts for the JSONL artifact store.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.boolean.function import BooleanFunction
 from repro.circuits.registry import get_benchmark
 from repro.defects.analysis import naive_survival_curve
 from repro.exceptions import ExperimentError
-from repro.experiments.monte_carlo import run_mapping_monte_carlo
 from repro.experiments.report import format_table
 from repro.mapping.function_matrix import FunctionMatrix
 
@@ -344,10 +344,11 @@ def compute_yield_curve(
 ) -> YieldCurve:
     """Sweep the defect rate into a :class:`YieldCurve` with CIs.
 
-    With ``tolerance`` set, every point runs the adaptive sampler until
-    its CI half-width reaches the tolerance (``samples`` is ignored;
-    ``max_samples`` is the per-point budget).  Without it, every point
-    draws a fixed ``samples``-sized batch.  Each point uses the same
+    Every point is one run of the adaptive sampler.  With ``tolerance``
+    set, it draws until its CI half-width reaches the tolerance
+    (``samples`` is ignored; ``max_samples`` is the per-point budget).
+    Without it, the sampler's one batch is a fixed ``samples``-sized
+    budget (``max_samples`` is ignored).  Each point uses the same
     root ``seed`` (matching the defect-sweep convention), so curves are
     comparable across rates and runs.  ``rates`` are deduplicated and
     sorted; the ``naive_baseline`` column only appears for pure
@@ -366,55 +367,31 @@ def compute_yield_curve(
         if naive_baseline and stuck_open_fraction == 1.0
         else [None] * len(rates)
     )
+    budget = samples if tolerance is None else max_samples
     points = []
     for rate, naive in zip(rates, baseline):
-        model = create_defect_model(
-            "uniform", rate=rate, stuck_open_fraction=stuck_open_fraction
+        adaptive = run_adaptive_monte_carlo(
+            function,
+            tolerance=tolerance,
+            confidence=confidence,
+            method=method,
+            defect_model=create_defect_model(
+                "uniform", rate=rate, stuck_open_fraction=stuck_open_fraction
+            ),
+            algorithms=algorithms,
+            seed=seed,
+            extra_rows=extra_rows,
+            extra_columns=extra_columns,
+            workers=workers,
+            engine=engine,
+            max_samples=budget,
         )
-        if tolerance is not None:
-            adaptive = run_adaptive_monte_carlo(
-                function,
-                tolerance=tolerance,
-                confidence=confidence,
-                method=method,
-                defect_model=model,
-                algorithms=algorithms,
-                seed=seed,
-                extra_rows=extra_rows,
-                extra_columns=extra_columns,
-                workers=workers,
-                engine=engine,
-                max_samples=max_samples,
-            )
-            estimates = adaptive.estimates()
-            used = adaptive.samples_used
-            converged = adaptive.converged
-        else:
-            monte_carlo = run_mapping_monte_carlo(
-                function,
-                defect_model=model,
-                sample_size=samples,
-                algorithms=algorithms,
-                seed=seed,
-                extra_rows=extra_rows,
-                extra_columns=extra_columns,
-                workers=workers,
-                engine=engine,
-            )
-            estimates = {
-                name: monte_carlo.yield_estimate(
-                    name, confidence=confidence, method=method
-                )
-                for name in monte_carlo.outcomes
-            }
-            used = monte_carlo.sample_size
-            converged = True
         points.append(
             YieldPoint(
                 defect_rate=rate,
-                estimates=estimates,
-                samples=used,
-                converged=converged,
+                estimates=adaptive.estimates(),
+                samples=adaptive.samples_used,
+                converged=adaptive.converged,
                 naive_survival=naive,
             )
         )

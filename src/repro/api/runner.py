@@ -329,10 +329,11 @@ def _run_area_protocol(
 
 
 def adaptive_settings(scenario: Scenario) -> dict:
-    """The adaptive loop's keywords for a ``tolerance`` scenario.
+    """The adaptive loop's keywords for a mapping scenario.
 
-    The scenario's sample count is the budget ceiling, and its options
-    may set ``confidence`` and ``ci_method``.
+    The scenario's sample count is the budget: the ceiling when it sets
+    a ``tolerance``, the one batch when it does not.  Its options may
+    set ``confidence`` and ``ci_method``.
     """
     return {
         "tolerance": scenario.tolerance,
@@ -340,6 +341,23 @@ def adaptive_settings(scenario: Scenario) -> dict:
         "method": scenario.options.get("ci_method", "wilson"),
         "max_samples": scenario.samples,
     }
+
+
+def mapping_row(
+    scenario: Scenario, redundancy: tuple[int, int], adaptive
+) -> dict:
+    """One redundancy level's result row from its adaptive loop result.
+
+    Only a ``tolerance`` scenario's row carries the ``"adaptive"``
+    summary, so a fixed row keeps the paper protocol's shape.
+    """
+    row = {
+        "redundancy": list(redundancy),
+        "monte_carlo": adaptive.monte_carlo.to_dict(),
+    }
+    if scenario.tolerance is not None:
+        row["adaptive"] = adaptive.row_summary()
+    return row
 
 
 def _run_mapping_protocol(
@@ -350,7 +368,11 @@ def _run_mapping_protocol(
     engine: str,
     emit: Callable[[int, dict], None] | None,
 ) -> tuple[list[dict], int]:
-    from repro.experiments.monte_carlo import run_mapping_monte_carlo
+    # A fixed scenario is the adaptive loop's one-batch case, so every
+    # redundancy row is one run of the loop; the stopping rule reads
+    # counting statistics only, so the drawn sample count stays worker-
+    # and engine-invariant.
+    from repro.analysis.adaptive import run_adaptive_monte_carlo
 
     function = scenario.source.build(seed=scenario.seed)
     model = scenario.resolved_defect_model()
@@ -358,54 +380,22 @@ def _run_mapping_protocol(
     rows: list[dict] = []
     used_workers = 1
     for extra_rows, extra_columns in scenario.redundancy:
-        adaptive_summary = None
-        if scenario.tolerance is not None:
-            # Adaptive sampling (repro.analysis): the scenario's sample
-            # count becomes the budget ceiling, and the run stops as
-            # soon as every mapper's CI half-width reaches the
-            # tolerance.  The stopping rule reads counting statistics
-            # only, so the drawn sample count — not just the counts —
-            # stays worker- and engine-invariant.
-            from repro.analysis.adaptive import run_adaptive_monte_carlo
-
-            adaptive = run_adaptive_monte_carlo(
-                function,
-                **adaptive_settings(scenario),
-                defect_model=model,
-                algorithms=scenario.mappers,
-                seed=scenario.seed,
-                extra_rows=extra_rows,
-                extra_columns=extra_columns,
-                validate=scenario.options.get("validate", True),
-                workers=workers,
-                chunk_size=chunk_size,
-                engine=engine,
-                multilevel=multilevel,
-            )
-            monte_carlo = adaptive.monte_carlo
-            adaptive_summary = adaptive.row_summary()
-        else:
-            monte_carlo = run_mapping_monte_carlo(
-                function,
-                defect_model=model,
-                sample_size=scenario.samples,
-                algorithms=scenario.mappers,
-                seed=scenario.seed,
-                extra_rows=extra_rows,
-                extra_columns=extra_columns,
-                validate=scenario.options.get("validate", True),
-                workers=workers,
-                chunk_size=chunk_size,
-                engine=engine,
-                multilevel=multilevel,
-            )
-        used_workers = max(used_workers, monte_carlo.workers)
-        row = {
-            "redundancy": [extra_rows, extra_columns],
-            "monte_carlo": monte_carlo.to_dict(),
-        }
-        if adaptive_summary is not None:
-            row["adaptive"] = adaptive_summary
+        adaptive = run_adaptive_monte_carlo(
+            function,
+            **adaptive_settings(scenario),
+            defect_model=model,
+            algorithms=scenario.mappers,
+            seed=scenario.seed,
+            extra_rows=extra_rows,
+            extra_columns=extra_columns,
+            validate=scenario.options.get("validate", True),
+            workers=workers,
+            chunk_size=chunk_size,
+            engine=engine,
+            multilevel=multilevel,
+        )
+        used_workers = max(used_workers, adaptive.monte_carlo.workers)
+        row = mapping_row(scenario, (extra_rows, extra_columns), adaptive)
         rows.append(row)
         if emit is not None:
             emit(len(rows) - 1, row)

@@ -242,13 +242,13 @@ class Scenario:
         ``"mapping"`` or ``"area"`` (see the module docstring).
     options:
         Free-form JSON-safe protocol options (e.g. ``validate`` for
-        mapping, ``minimize_before_synthesis`` for area; adaptive runs
+        mapping, ``minimize_before_synthesis`` for area; mapping runs
         also honour ``confidence`` and ``ci_method``).
     tolerance:
-        ``None`` (default) runs the fixed ``samples`` budget — the
-        paper's protocol.  A float switches the ``"mapping"`` protocol
-        to the adaptive sampler of :mod:`repro.analysis`: each
-        redundancy level draws samples until every mapper's CI
+        Each ``"mapping"`` redundancy level is one run of the adaptive
+        sampler of :mod:`repro.analysis`.  ``None`` (default) is its
+        one-batch case, the fixed ``samples`` budget — the paper's
+        protocol.  A float draws samples until every mapper's CI
         half-width reaches the tolerance, with ``samples`` acting as
         the budget ceiling.
     """

@@ -144,28 +144,3 @@ def _lift_common_cubes(cover: Cover, variable: int) -> Cover:
         else:
             cubes.extend(group.values())
     return Cover(cover.num_inputs, cubes)
-
-
-def estimate_complement_products(cover: Cover, *, sample_limit: int = 4096) -> int:
-    """Cheap upper-bound estimate of the complement's product count.
-
-    Used only as a fallback when :func:`complement_cover` overflows its
-    budget: the estimate is the number of maximal false vertices found on a
-    sampled sub-space, scaled to the full space.  It is intentionally crude
-    — the paper's dual-selection only needs a coarse comparison.
-    """
-    num_inputs = cover.num_inputs
-    if (1 << num_inputs) <= sample_limit:
-        table = cover.truth_table()
-        return sum(1 for value in table if not value)
-    # Sample assignments deterministically by enumerating a sub-cube.
-    sampled_false = 0
-    fixed_bits = num_inputs - sample_limit.bit_length() + 1
-    for point in range(sample_limit):
-        assignment = [(point >> i) & 1 for i in range(num_inputs)]
-        for j in range(max(0, fixed_bits)):
-            assignment[num_inputs - 1 - j] = 0
-        if not cover.evaluate(assignment):
-            sampled_false += 1
-    scale = (1 << num_inputs) / sample_limit
-    return int(sampled_false * scale)

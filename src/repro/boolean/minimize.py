@@ -315,8 +315,3 @@ def _exact_cover(
     if best_solution is None:
         return _greedy_cover(candidates, coverage, remaining)
     return best_solution
-
-
-def count_literals_saved(before: Cover, after: Cover) -> int:
-    """Difference in literal counts (positive when ``after`` is smaller)."""
-    return before.literal_count() - after.literal_count()

@@ -74,14 +74,6 @@ FAULT_POINTS: dict[str, str] = {
 }
 
 
-def register_fault_point(name: str, description: str) -> None:
-    """Register a new named fault point (idempotent for same description)."""
-    existing = FAULT_POINTS.get(name)
-    if existing is not None and existing != description:
-        raise ExperimentError(f"fault point {name!r} is already registered")
-    FAULT_POINTS[name] = description
-
-
 class FaultInjected(OSError):
     """An injected worker crash — an :class:`OSError` so the
     orchestrator's failure taxonomy classifies it *transient*."""

@@ -25,10 +25,8 @@ _EXPORTS = {
     # job model
     "ChunkSpec": "repro.service.jobs",
     "ChunkJob": "repro.service.jobs",
-    "plan_chunks": "repro.service.jobs",
     "plan_range_chunks": "repro.service.jobs",
     "execute_chunk": "repro.service.jobs",
-    "assemble_rows": "repro.service.jobs",
     "merge_mapping_chunks": "repro.service.jobs",
     "default_chunk_size": "repro.service.jobs",
     # checkpoint store

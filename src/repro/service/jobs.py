@@ -8,7 +8,7 @@ batch engine: every sample draws its defect map from
 ``derive_seed(seed, global_index)``, so executing a chunk in any
 process, on any engine, at any time produces the counting statistics of
 exactly that slice of an uninterrupted run, and merging the chunks in
-range order (:func:`assemble_rows`) reproduces the uninterrupted
+range order (:func:`merge_mapping_chunks`) reproduces the uninterrupted
 statistics bit-for-bit.
 
 Unlike the in-process :class:`~repro.api.batch.BatchRunner`, whose auto
@@ -20,15 +20,16 @@ count alone, and the orchestrator records the resolved size in the
 job's checkpoint spec so a resume (or an operator override) can never
 silently orphan existing checkpoints.
 
-Adaptive (``tolerance``-driven) scenarios cannot be sharded statically
-— the sample count is decided by the stopping rule as evidence
-accumulates.  They shard *wave by wave* instead: each wave is one batch
-yielded by :func:`repro.analysis.adaptive.adaptive_loop`, the loop of
-:func:`~repro.analysis.adaptive.run_adaptive_monte_carlo`, itself split
-into chunk jobs (:func:`plan_range_chunks`).  Because the stopping rule
+Every mapping row shards *wave by wave*: each wave is one batch yielded
+by :func:`repro.analysis.adaptive.adaptive_loop`, the loop of
+:func:`~repro.analysis.adaptive.run_adaptive_monte_carlo`, split into
+chunk jobs (:func:`plan_range_chunks`).  A fixed-budget row is one wave
+over ``[0, samples)``; an adaptive (``tolerance``-driven) row grows
+wave by wave until the stopping rule fires.  Because the stopping rule
 reads counting statistics only, a resumed campaign replays the same
 schedule, loads the checkpointed waves and stops at the same sample
-count an uninterrupted run would have.
+count an uninterrupted run would have.  An area job is one range,
+``[0, sample_stream_length(scenario))``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from repro.api.batch import chunk_ranges
-from repro.api.runner import evaluate_area_chunk, sample_stream_length
+from repro.api.runner import evaluate_area_chunk
 from repro.api.scenarios import Scenario
 from repro.exceptions import ExperimentError
 from repro.experiments.monte_carlo import VECTORIZED_MIN_CHUNK, MonteCarloResult
@@ -99,28 +100,6 @@ def plan_range_chunks(
     return [
         ChunkSpec(row_index, start + span.start, start + span.stop)
         for span in chunk_ranges(stop - start, chunk_size)
-    ]
-
-
-def plan_chunks(scenario: Scenario, chunk_size: int) -> list[ChunkSpec]:
-    """The full static chunk plan of a fixed-budget scenario.
-
-    Mapping scenarios shard every redundancy row's sample stream; area
-    scenarios shard their single one (see
-    :func:`~repro.api.runner.sample_stream_length`).  Adaptive scenarios
-    have no static plan — the orchestrator plans them wave by wave.
-    """
-    if scenario.tolerance is not None:
-        raise ExperimentError(
-            f"scenario {scenario.name!r} is adaptive; its chunks are "
-            "planned wave by wave, not statically"
-        )
-    if scenario.protocol == "area":
-        return plan_range_chunks(0, 0, sample_stream_length(scenario), chunk_size)
-    return [
-        chunk
-        for row_index in range(len(scenario.redundancy))
-        for chunk in plan_range_chunks(row_index, 0, scenario.samples, chunk_size)
     ]
 
 
@@ -201,56 +180,3 @@ def merge_mapping_chunks(payloads: list[dict]) -> MonteCarloResult:
     for payload in payloads[1:]:
         merged.merge(MonteCarloResult.from_dict(payload["monte_carlo"]))
     return merged
-
-
-def assemble_rows(
-    scenario: Scenario,
-    plan: list[ChunkSpec],
-    payloads: dict[ChunkSpec, dict],
-    *,
-    allow_missing: bool = False,
-) -> list[dict]:
-    """Assemble the final result rows from a complete static chunk plan.
-
-    Produces exactly the row shapes of
-    :class:`~repro.api.runner.ScenarioResult` so service results,
-    CLI-run results and cached artifacts stay interchangeable.
-
-    With ``allow_missing=True`` (the orchestrator's ``"partial"``
-    quarantine policy) absent chunks are tolerated: mapping rows merge
-    whatever ranges survived (the merged result's ``sample_ranges``
-    provenance names the gaps), area rows simply omit the lost sample
-    indices.  A redundancy row with *no* surviving chunk still raises —
-    there is no meaningful partial statistic for an empty row.
-    """
-    missing = [chunk.key for chunk in plan if chunk not in payloads]
-    if missing and not allow_missing:
-        raise ExperimentError(
-            f"cannot assemble {scenario.name!r}: missing chunks {missing}"
-        )
-    if scenario.protocol == "area":
-        rows = [
-            row
-            for chunk in sorted(plan)
-            if chunk in payloads
-            for row in payloads[chunk]["rows"]
-        ]
-        return sorted(rows, key=lambda row: row["index"])
-    rows = []
-    for row_index, (extra_rows, extra_columns) in enumerate(scenario.redundancy):
-        row_chunks = sorted(
-            c for c in plan if c.row_index == row_index and c in payloads
-        )
-        if not row_chunks:
-            raise ExperimentError(
-                f"cannot assemble {scenario.name!r}: every chunk of "
-                f"redundancy row {row_index} was lost or quarantined"
-            )
-        merged = merge_mapping_chunks([payloads[c] for c in row_chunks])
-        rows.append(
-            {
-                "redundancy": [extra_rows, extra_columns],
-                "monte_carlo": merged.to_dict(),
-            }
-        )
-    return rows

@@ -65,6 +65,7 @@ from repro.api.batch import auto_workers, start_process_pool
 from repro.api.runner import (
     ScenarioResult,
     adaptive_settings,
+    mapping_row,
     sample_stream_length,
 )
 from repro.api.scenarios import Scenario
@@ -76,9 +77,7 @@ from repro.service.jobs import (
     default_chunk_size,
     execute_chunk,
     merge_mapping_chunks,
-    plan_chunks,
     plan_range_chunks,
-    assemble_rows,
 )
 from repro.service.resilience import (
     DETERMINISTIC,
@@ -504,13 +503,19 @@ class Orchestrator:
 
     async def _execute(self, job: Job) -> list[dict]:
         chunk_size, engine = self._job_plan_settings(job)
-        if job.scenario.tolerance is not None:
-            return await self._execute_adaptive(job, chunk_size, engine)
-        plan = plan_chunks(job.scenario, chunk_size)
+        scenario = job.scenario
+        if scenario.protocol == "mapping":
+            return await self._execute_waves(job, chunk_size, engine)
+        # An area job is one static range; under the "partial" policy a
+        # quarantined chunk's sample indices are simply absent.
+        plan = plan_range_chunks(
+            0, 0, sample_stream_length(scenario), chunk_size
+        )
         job.total_chunks = len(plan)
         payloads = await self._run_wave(job, plan, engine)
-        return assemble_rows(
-            job.scenario, plan, payloads, allow_missing=job.partial
+        return sorted(
+            (row for payload in payloads.values() for row in payload["rows"]),
+            key=lambda row: row["index"],
         )
 
     async def _run_wave(
@@ -650,25 +655,24 @@ class Orchestrator:
             )
         return QuarantinedChunk(chunk=chunk, attempts=attempts, error=reason)
 
-    async def _execute_adaptive(
+    async def _execute_waves(
         self, job: Job, chunk_size: int, engine: str
     ) -> list[dict]:
-        """Wave-by-wave adaptive sharding (see :mod:`repro.service.jobs`).
+        """Wave-by-wave mapping sharding (see :mod:`repro.service.jobs`).
 
         Drives :func:`repro.analysis.adaptive.adaptive_loop`, the loop
         of :func:`~repro.analysis.adaptive.run_adaptive_monte_carlo`,
-        with each batch sharded across the pool as one chunk wave, so a
-        job stops at exactly the sample count the in-process sampler
-        chooses — the stopping rule reads counting statistics only,
-        which are invariant to the sharding.
+        once per redundancy row, with each batch sharded across the pool
+        as one chunk wave, so a job stops at exactly the sample count
+        the in-process sampler chooses — the stopping rule reads
+        counting statistics only, which are invariant to the sharding.
+        A fixed-budget row is the loop's one wave.
         """
         from repro.analysis.adaptive import adaptive_loop
 
         scenario = job.scenario
         rows = []
-        for row_index, (extra_rows, extra_columns) in enumerate(
-            scenario.redundancy
-        ):
+        for row_index, redundancy in enumerate(scenario.redundancy):
             loop = adaptive_loop(**adaptive_settings(scenario))
             offset, size = next(loop)
             while True:
@@ -677,7 +681,7 @@ class Orchestrator:
                 )
                 job.total_chunks += len(wave)
                 payloads = await self._run_wave(job, wave, engine)
-                if job.quarantined:
+                if job.quarantined and scenario.tolerance is not None:
                     # The stopping rule reads the statistics, so a gap
                     # would change the sample schedule itself: adaptive
                     # campaigns cannot serve partial results.
@@ -687,19 +691,20 @@ class Orchestrator:
                         f"({[q.chunk.key for q in job.quarantined]}); "
                         "the stopping rule needs every batch's statistics"
                     )
+                if not payloads:
+                    raise ExperimentError(
+                        f"cannot assemble {scenario.name!r}: every chunk of "
+                        f"redundancy row {row_index} was lost or quarantined"
+                    )
+                # A fixed row under the "partial" policy merges the
+                # chunks that survived; the merged sample_ranges name
+                # the gaps.
                 partial = merge_mapping_chunks(
-                    [payloads[chunk] for chunk in sorted(wave)]
+                    [payloads[chunk] for chunk in sorted(payloads)]
                 )
                 try:
                     offset, size = loop.send(partial)
                 except StopIteration as stop:
-                    adaptive = stop.value
+                    rows.append(mapping_row(scenario, redundancy, stop.value))
                     break
-            rows.append(
-                {
-                    "redundancy": [extra_rows, extra_columns],
-                    "monte_carlo": adaptive.monte_carlo.to_dict(),
-                    "adaptive": adaptive.row_summary(),
-                }
-            )
         return rows

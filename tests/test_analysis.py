@@ -12,7 +12,6 @@ including the golden-consistency acceptance criterion.
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
@@ -373,6 +372,25 @@ class TestAdaptiveSampler:
         assert rebuilt.samples_used == adaptive.samples_used
         assert "converged" in adaptive.summary()
 
+    def test_fixed_budget_is_one_batch(self):
+        function = get_benchmark("rd53")
+        fixed = run_adaptive_monte_carlo(
+            function, tolerance=None, seed=GOLDEN_SEED, workers=1,
+            max_samples=150,
+        )
+        assert fixed.converged and fixed.tolerance is None
+        assert [(b.offset, b.size) for b in fixed.batches] == [(0, 150)]
+        direct = run_mapping_monte_carlo(
+            function, sample_size=150, seed=GOLDEN_SEED, workers=1
+        )
+        assert (
+            fixed.monte_carlo.counting_statistics()
+            == direct.counting_statistics()
+        )
+        assert "fixed budget" in fixed.summary()
+        rebuilt = AdaptiveResult.from_dict(fixed.to_dict())
+        assert rebuilt.to_dict() == fixed.to_dict()
+
 
 # ----------------------------------------------------------------------
 # Yield curves and surfaces
@@ -627,6 +645,13 @@ class TestScenarioTolerance:
     def test_validation(self):
         with pytest.raises(ExperimentError):
             self._scenario(tolerance=0.7)
+        # A fixed scenario runs the same loop, so its CI options are
+        # checked the way an adaptive scenario's are.
+        fixed = self._scenario(
+            tolerance=None, samples=8, options={"ci_method": "wald"}
+        )
+        with pytest.raises(ExperimentError, match="wald"):
+            run_scenario(fixed, workers=1)
         with pytest.raises(ExperimentError):
             Scenario(
                 name="area-tol",

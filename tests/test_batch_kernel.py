@@ -509,23 +509,29 @@ class TestDefectBatch:
             )
 
     def test_spare_column_repair_matches_serial(self):
-        model = create_defect_model("uniform", rate=0.3, stuck_open_fraction=0.4)
+        # Sparse enough that repair keeps some samples and drops others,
+        # so both branches below run.
+        model = create_defect_model("uniform", rate=0.15, stuck_open_fraction=0.7)
         batch = DefectBatch.generate(
             model, 5, 9, seed=7, start=0, stop=20, required_columns=6
         )
         assert batch.columns == 6
+        kept = dropped = 0
         for offset, index in enumerate(range(20)):
             raw = model.inject(5, 9, seed=derive_seed(7, index))
             repaired = repair_spare_columns(raw, 6)
             if repaired is None:
+                dropped += 1
                 assert batch.dropped[offset]
                 assert batch.maps[offset] is None
             else:
+                kept += 1
                 assert not batch.dropped[offset]
                 assert (
                     batch.functional[offset].tolist()
                     == repaired.functional_matrix()
                 )
+        assert kept > 0 and dropped > 0
 
     @pytest.mark.parametrize("native", [False, True])
     def test_row_bank_is_a_view_with_lazy_maps(self, monkeypatch, native):

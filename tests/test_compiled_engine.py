@@ -67,7 +67,12 @@ from repro.experiments.monte_carlo import (
 )
 from repro.mapping.batch_kernel import _replica_exact, _replica_hybrid
 from repro.mapping.matching import compatibility_tensor
-from repro.service.jobs import ChunkJob, execute_chunk, merge_mapping_chunks, plan_chunks
+from repro.service.jobs import (
+    ChunkJob,
+    execute_chunk,
+    merge_mapping_chunks,
+    plan_range_chunks,
+)
 from repro.service.orchestrator import Orchestrator
 from repro.service.store import CheckpointStore
 
@@ -688,7 +693,7 @@ class TestCrossEngineCheckpointResume:
         scenario = tiny_scenario()
         checkpoints = CheckpointStore(tmp_path / "ckpt")
         spec_hash = scenario.content_hash()
-        plan = plan_chunks(scenario, 8)
+        plan = plan_range_chunks(0, 0, scenario.samples, 8)
         engines = ["vectorized", "reference", "auto", "vectorized"]
         for chunk, engine in zip(plan, engines):
             payload = execute_chunk(
@@ -717,7 +722,7 @@ class TestCrossEngineCheckpointResume:
         scenario = tiny_scenario(samples=40)
         checkpoints = CheckpointStore(tmp_path / "ckpt")
         spec_hash = scenario.content_hash()
-        plan = plan_chunks(scenario, 8)
+        plan = plan_range_chunks(0, 0, scenario.samples, 8)
         for chunk in plan[:2]:
             payload = execute_chunk(
                 ChunkJob(

@@ -437,7 +437,7 @@ class TestServiceIntegration:
             ChunkJob,
             execute_chunk,
             merge_mapping_chunks,
-            plan_chunks,
+            plan_range_chunks,
         )
 
         scenario = Scenario(
@@ -460,7 +460,7 @@ class TestServiceIntegration:
                         chunk=chunk,
                     )
                 )
-                for chunk in plan_chunks(scenario, chunk_size)
+                for chunk in plan_range_chunks(0, 0, scenario.samples, chunk_size)
             ]
             merged[chunk_size] = merge_mapping_chunks(payloads)
         for result in merged.values():

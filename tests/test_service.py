@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.api.artifacts import ArtifactStore
-from repro.api.runner import run_scenario
+from repro.api.runner import run_scenario, sample_stream_length
 from repro.api.scenarios import FunctionSource, Scenario
 from repro.exceptions import ExperimentError
 from repro.experiments.monte_carlo import MonteCarloResult, run_mapping_monte_carlo
@@ -18,11 +18,9 @@ from repro.service.http import make_server
 from repro.service.jobs import (
     ChunkJob,
     ChunkSpec,
-    assemble_rows,
     default_chunk_size,
     execute_chunk,
     merge_mapping_chunks,
-    plan_chunks,
     plan_range_chunks,
 )
 from repro.service.orchestrator import Orchestrator
@@ -45,6 +43,31 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+async def submit_and_wait(orchestrator: Orchestrator, scenario: Scenario):
+    """Run one job to completion, then release the orchestrator's pool."""
+    try:
+        job = await orchestrator.submit(scenario)
+        await orchestrator.wait(job.job_id)
+    finally:
+        orchestrator.shutdown()
+    return job
+
+
+def execute_all(scenario: Scenario, plan: list[ChunkSpec]) -> dict:
+    """Every chunk of ``plan`` executed in process, keyed by chunk."""
+    return {
+        chunk: execute_chunk(
+            ChunkJob(
+                spec_hash=scenario.content_hash(),
+                scenario_payload=scenario.to_dict(),
+                chunk=chunk,
+                engine="vectorized",
+            )
+        )
+        for chunk in plan
+    }
+
+
 # ----------------------------------------------------------------------
 # Chunk planning
 # ----------------------------------------------------------------------
@@ -59,26 +82,28 @@ class TestChunkPlanning:
             default_chunk_size(0)
 
     def test_plan_covers_every_row_disjointly(self):
-        scenario = tiny_scenario(redundancy=((0, 0), (1, 2)), samples=50)
-        plan = plan_chunks(scenario, 16)
         for row_index in (0, 1):
-            spans = sorted(
-                (c.start, c.stop) for c in plan if c.row_index == row_index
-            )
+            plan = plan_range_chunks(row_index, 0, 50, 16)
+            assert {chunk.row_index for chunk in plan} == {row_index}
+            spans = [(c.start, c.stop) for c in plan]
             assert spans == [(0, 16), (16, 32), (32, 48), (48, 50)]
 
-    def test_area_fixed_function_plans_one_chunk(self):
+    def test_area_fixed_function_plans_one_chunk(self, tmp_path):
         scenario = Scenario(
             name="svc-area-fixed",
             source=FunctionSource.sop("x1 + x2 x3"),
             protocol="area",
             samples=100,
         )
-        assert plan_chunks(scenario, 16) == [ChunkSpec(0, 0, 1)]
-
-    def test_adaptive_scenarios_have_no_static_plan(self):
-        with pytest.raises(ExperimentError, match="adaptive"):
-            plan_chunks(tiny_scenario(samples=100, tolerance=0.05), 16)
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        job = run(
+            submit_and_wait(Orchestrator(checkpoints, workers=1), scenario)
+        )
+        assert job.status == "done", job.error
+        assert job.total_chunks == 1
+        assert checkpoints.completed_chunks(job.job_id) == {
+            ChunkSpec(0, 0, 1).key
+        }
 
     def test_chunk_keys_sort_in_range_order(self):
         plan = plan_range_chunks(1, 0, 2048, 100)
@@ -98,25 +123,11 @@ class TestChunkPlanning:
 class TestChunkExecution:
     def test_merged_chunks_match_uninterrupted_run(self):
         scenario = tiny_scenario(samples=40)
-        plan = plan_chunks(scenario, 16)
-        payloads = {
-            chunk: execute_chunk(
-                ChunkJob(
-                    spec_hash=scenario.content_hash(),
-                    scenario_payload=scenario.to_dict(),
-                    chunk=chunk,
-                    engine="vectorized",
-                )
-            )
-            for chunk in plan
-        }
-        rows = assemble_rows(scenario, plan, payloads)
-        direct = run_scenario(scenario, workers=1)
-        assert [row["redundancy"] for row in rows] == [
-            row["redundancy"] for row in direct.rows
-        ]
-        merged = MonteCarloResult.from_dict(rows[0]["monte_carlo"])
-        baseline = direct.monte_carlo()
+        payloads = execute_all(scenario, plan_range_chunks(0, 0, 40, 16))
+        merged = merge_mapping_chunks(
+            [payloads[chunk] for chunk in sorted(payloads)]
+        )
+        baseline = run_scenario(scenario, workers=1).monte_carlo()
         assert merged.counting_statistics() == baseline.counting_statistics()
         assert merged.sample_ranges == [[0, 40]]
 
@@ -133,28 +144,12 @@ class TestChunkExecution:
             samples=6,
             seed=2,
         )
-        plan = plan_chunks(scenario, 4)
-        payloads = {
-            chunk: execute_chunk(
-                ChunkJob(
-                    spec_hash=scenario.content_hash(),
-                    scenario_payload=scenario.to_dict(),
-                    chunk=chunk,
-                    engine="vectorized",
-                )
-            )
-            for chunk in plan
-        }
-        rows = assemble_rows(scenario, plan, payloads)
+        plan = plan_range_chunks(0, 0, sample_stream_length(scenario), 4)
+        payloads = execute_all(scenario, plan)
+        rows = [row for chunk in plan for row in payloads[chunk]["rows"]]
         direct = run_scenario(scenario, workers=1)
         assert rows == direct.rows
         assert len(rows) == (6 if source.kind == "random" else 1)
-
-    def test_assemble_rejects_missing_chunks(self):
-        scenario = tiny_scenario()
-        plan = plan_chunks(scenario, 8)
-        with pytest.raises(ExperimentError, match="missing chunks"):
-            assemble_rows(scenario, plan, {})
 
     def test_merge_rejects_empty(self):
         with pytest.raises(ExperimentError, match="empty"):
@@ -270,7 +265,7 @@ class TestOrchestrator:
         scenario = tiny_scenario(samples=40)
         checkpoints = CheckpointStore(tmp_path / "ckpt")
         spec_hash = scenario.content_hash()
-        plan = plan_chunks(scenario, 8)
+        plan = plan_range_chunks(0, 0, 40, 8)
         # Simulate a killed campaign: two chunks already checkpointed.
         for chunk in plan[:2]:
             payload = execute_chunk(
@@ -439,6 +434,124 @@ class TestOrchestrator:
             job.result.rows[0]["adaptive"]["samples_used"]
             == direct.rows[0]["adaptive"]["samples_used"]
         )
+
+    def test_fixed_job_resumes_from_row_range_chunk_keys(self, tmp_path):
+        # A fixed row is one wave over [0, samples), so checkpoints keyed
+        # r{row}_s{start}_e{stop} over that range are all found again.
+        scenario = tiny_scenario(redundancy=((0, 0), (1, 1)), samples=24)
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        spec_hash = scenario.content_hash()
+        for row_index in (0, 1):
+            for start in (0, 8, 16):
+                chunk = ChunkSpec(row_index, start, start + 8)
+                key = f"r{row_index:03d}_s{start:010d}_e{start + 8:010d}"
+                payload = execute_all(scenario, [chunk])[chunk]
+                checkpoints.write_chunk(spec_hash, key, payload)
+
+        job = run(
+            submit_and_wait(
+                Orchestrator(checkpoints, workers=1, chunk_size=8), scenario
+            )
+        )
+        assert job.status == "done", job.error
+        assert job.loaded_chunks == job.total_chunks == 6
+        assert job.executed_chunks == 0
+        direct = run_scenario(scenario, workers=1)
+        assert "adaptive" not in job.result.rows[0]
+        assert job.result.counting_statistics() == direct.counting_statistics()
+
+    def test_partial_fixed_job_keeps_surviving_ranges(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import orchestrator as orchestrator_module
+
+        def poisoned(chunk_job):
+            if chunk_job.chunk.key.startswith("r001_s0000000008"):
+                raise ExperimentError("poisoned chunk spec")
+            return execute_chunk(chunk_job)
+
+        monkeypatch.setattr(orchestrator_module, "execute_chunk", poisoned)
+        scenario = tiny_scenario(redundancy=((0, 0), (1, 1)), samples=24)
+        job = run(
+            submit_and_wait(
+                Orchestrator(
+                    CheckpointStore(tmp_path / "ckpt"),
+                    workers=1,
+                    chunk_size=8,
+                    retry_delay=0.0,
+                    partial_policy="partial",
+                ),
+                scenario,
+            )
+        )
+        assert job.status == "done" and job.partial, job.error
+        assert job.total_chunks == 6
+        [quarantined] = job.quarantined
+        assert quarantined.chunk == ChunkSpec(1, 8, 16)
+        direct = run_scenario(scenario, workers=1)
+        complete = job.result.monte_carlo((0, 0))
+        assert complete.sample_ranges == [[0, 24]]
+        assert (
+            complete.counting_statistics()
+            == direct.monte_carlo((0, 0)).counting_statistics()
+        )
+        gapped = job.result.monte_carlo((1, 1))
+        assert gapped.sample_ranges == [[0, 8], [16, 24]]
+        assert gapped.sample_size == 16
+
+    def test_row_without_surviving_chunks_fails(self, tmp_path, monkeypatch):
+        from repro.service import orchestrator as orchestrator_module
+
+        def poisoned(chunk_job):
+            raise ExperimentError("poisoned chunk spec")
+
+        monkeypatch.setattr(orchestrator_module, "execute_chunk", poisoned)
+        job = run(
+            submit_and_wait(
+                Orchestrator(
+                    CheckpointStore(tmp_path / "ckpt"),
+                    workers=1,
+                    chunk_size=8,
+                    retry_delay=0.0,
+                    partial_policy="partial",
+                ),
+                tiny_scenario(),
+            )
+        )
+        assert job.status == "failed"
+        assert "every chunk of redundancy row 0" in job.error
+
+    def test_area_job_matches_runner_and_resumes(self, tmp_path):
+        scenario = Scenario(
+            name="svc-area-job",
+            source=FunctionSource.random(5, max_products=4),
+            protocol="area",
+            samples=6,
+            seed=2,
+        )
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+
+        def submit():
+            return run(
+                submit_and_wait(
+                    Orchestrator(checkpoints, workers=1, chunk_size=4), scenario
+                )
+            )
+
+        job = submit()
+        assert job.status == "done", job.error
+        assert job.result.rows == run_scenario(scenario, workers=1).rows
+        keys = {chunk.key for chunk in plan_range_chunks(0, 0, 6, 4)}
+        assert checkpoints.completed_chunks(job.job_id) == keys
+        # Lose the merged result, as a kill after the last chunk would:
+        # the resubmission rebuilds the rows from the chunk checkpoints.
+        (checkpoints.job_dir(job.job_id) / "result.json").unlink()
+        resumed = submit()
+        assert resumed.status == "done", resumed.error
+        assert not resumed.cached
+        assert resumed.loaded_chunks == resumed.total_chunks == len(keys)
+        assert resumed.executed_chunks == 0
+        assert resumed.result.rows == job.result.rows
 
 
 # ----------------------------------------------------------------------
