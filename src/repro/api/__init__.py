@@ -76,7 +76,6 @@ _EXPORTS = {
     "chunk_ranges": "repro.api.batch",
     # seeding
     "derive_seed": "repro.api.seeding",
-    "spawn_seeds": "repro.api.seeding",
     # results
     "EvaluationResult": "repro.api.results",
     "function_to_dict": "repro.api.results",

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from repro.exceptions import ExperimentError
@@ -49,6 +51,67 @@ def start_process_pool(workers: int) -> ProcessPoolExecutor | None:
             executor.shutdown(wait=False, cancel_futures=True)
         return None
     return executor
+
+
+class _WarmPool:
+    """The one process pool of a :func:`warm_pool` scope, started on demand."""
+
+    def __init__(self) -> None:
+        self.workers = 0
+        self.executor: ProcessPoolExecutor | None = None
+
+    def get(self, workers: int) -> ProcessPoolExecutor | None:
+        """The scope's pool of ``workers``; replaces a pool of another size.
+
+        ``None`` where no process may spawn.  The scope remembers that
+        too, so a sandbox is probed once per size, not once per batch.
+        """
+        if workers != self.workers:
+            self.close()
+            self.executor = start_process_pool(workers)
+            self.workers = workers
+        return self.executor
+
+    def close(self) -> None:
+        """Cancel queued chunks, join the workers and forget the pool."""
+        executor, self.executor, self.workers = self.executor, None, 0
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
+#: The open :func:`warm_pool` scope of this thread, if any.
+_SCOPE: ContextVar[_WarmPool | None] = ContextVar("repro_warm_pool", default=None)
+
+
+@contextmanager
+def warm_pool() -> Iterator[_WarmPool]:
+    """Share one process pool among every :meth:`BatchRunner.run` inside.
+
+    ``repro.cli.main`` opens one scope per command, so its adaptive
+    rounds, curve points, spare candidates and scenario rows fork,
+    probe and tear down one pool instead of one per batch.  Every
+    ``run`` opens a scope too: outside an enclosing one, a run's pool
+    lives exactly as long as the run.  A nested scope reuses the
+    enclosing one; other threads do not see it.
+
+    The pool is shut down when the block returns or raises, its
+    workers joined and its queued chunks cancelled.  It must not
+    outlive the scope: workers are forked from the process as it is
+    when the pool starts, so only a fresh pool sees later changes to
+    it (fault plans, test patches), and a worker's memory counts in
+    ``RUSAGE_CHILDREN`` only once it has been reaped.
+    """
+    scope = _SCOPE.get()
+    if scope is not None:
+        yield scope
+        return
+    scope = _WarmPool()
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+        scope.close()
 
 
 def auto_workers() -> int:
@@ -101,10 +164,12 @@ class BatchPlan:
 class BatchRunner:
     """Execute a function over payloads, serially or via a process pool.
 
-    Each :meth:`run` call creates (and tears down) its own pool.  That
-    keeps the runner stateless and fork-cheap on Linux; under the
-    ``spawn`` start method, callers looping over many small batches pay
-    interpreter start-up per call and may prefer fewer, larger batches.
+    A parallel :meth:`run` takes its pool from the enclosing
+    :func:`warm_pool` scope, sized by the resolved worker count, so
+    runs inside one scope share one pool; outside any scope, each run
+    starts (and tears down) its own.  A run that raises, a worker that
+    dies included, shuts its pool down, and the next run starts a fresh
+    one.
 
     Parameters
     ----------
@@ -214,17 +279,21 @@ class BatchRunner:
         self.last_run_workers = 1
         if workers <= 1 or len(payloads) <= 1:
             return _serial()
-        max_workers = min(workers, len(payloads))
-        # Errors raised by ``fn`` itself are not caught — they propagate
-        # from the map below.
-        executor = start_process_pool(max_workers)
-        if executor is None:
-            return _serial()
-        self.last_run_workers = max_workers
-        with executor:
+        with warm_pool() as scope:
+            executor = scope.get(workers)
+            if executor is None:
+                return _serial()
+            self.last_run_workers = min(workers, len(payloads))
             results = []
-            for result in executor.map(fn, payloads):
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
+            try:
+                for result in executor.map(fn, payloads):
+                    if on_result is not None:
+                        on_result(result)
+                    results.append(result)
+            except BaseException:
+                # Errors raised by ``fn`` propagate.  The failed run's
+                # chunks may still be running, or the pool may be
+                # broken, so no later run shares this pool.
+                scope.close()
+                raise
             return results

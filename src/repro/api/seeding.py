@@ -64,8 +64,3 @@ def derive_seed(root_seed: int, *path: int | str) -> int:
     # integer field makes the tuple -> bytes map injective.
     digest.update(",".join(_encode_field(value) for value in (root_seed, *path)).encode())
     return int.from_bytes(digest.digest(), "big") & _SEED_MASK
-
-
-def spawn_seeds(root_seed: int, count: int, *path: int | str) -> list[int]:
-    """A reproducible batch of ``count`` independent seeds."""
-    return [derive_seed(root_seed, *path, index) for index in range(count)]

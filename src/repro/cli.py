@@ -30,6 +30,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from repro.api.artifacts import ArtifactStore
+from repro.api.batch import warm_pool
 from repro.api.scenarios import Scenario, ScenarioSuite
 from repro.engines import ENGINE_CHOICES, canonical_engine
 from repro.exceptions import ExperimentError, ReproError
@@ -999,7 +1000,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # Every batch of the command shares one process pool, which is
+        # shut down when the command returns or raises.
+        with warm_pool():
+            return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

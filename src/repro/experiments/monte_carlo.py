@@ -585,9 +585,12 @@ def run_mapping_monte_carlo(
         ``1`` = serial, ``N`` = process pool of that size, ``None``
         (default) = auto.  The counting statistics are identical for
         every choice; only wall-clock time changes.  Auto mode gates on
-        batch *size*, not per-sample cost — for small circuits whose
-        whole batch maps in milliseconds, pool start-up dominates and
-        ``workers=1`` is faster.
+        batch *size*, not per-sample cost.  The pool comes from the
+        enclosing :func:`repro.api.batch.warm_pool` scope, which
+        ``python -m repro`` opens once per command; a call outside any
+        scope starts and tears down a pool of its own, which can cost
+        more than a small circuit's whole batch, so loops of such calls
+        run inside one ``warm_pool()`` or with ``workers=1``.
     chunk_size:
         Samples per chunk (default: auto, ~4 chunks per worker; the
         vectorized engine additionally floors the auto size so batched

@@ -2,13 +2,17 @@
 
 Covers the fluent Design pipeline end-to-end, the mapper registry
 (registration, override, unknown-name errors), seed-stream derivation,
-the BatchRunner determinism contract (``workers=1`` vs ``workers=2``)
-and serialization round-trips of every result object.
+the BatchRunner determinism contract (``workers=1`` vs ``workers=2``),
+the warm pool's lifetime and failure paths, and serialization
+round-trips of every result object.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -21,7 +25,8 @@ from repro import (
     list_mappers,
     register_mapper,
 )
-from repro.api.batch import chunk_ranges, default_chunk_size
+from repro.api import batch
+from repro.api.batch import chunk_ranges, default_chunk_size, warm_pool
 from repro.api.registry import (
     MapperRegistry,
     create_mapper,
@@ -177,6 +182,70 @@ class TestBatchRunner:
         assert plan.workers == 2
         assert plan.num_chunks >= 2
         assert plan.parallel
+
+
+def _exit_worker(x: int) -> int:
+    os._exit(1)
+
+
+class _Stop(BaseException):
+    """Not an ``Exception``, like the start-up probe's stop signal."""
+
+
+def _stop(x: int) -> int:
+    raise _Stop
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The worker count of every pool started, in order."""
+    starts = []
+    start = batch.start_process_pool
+
+    def counting(workers):
+        starts.append(workers)
+        return start(workers)
+
+    monkeypatch.setattr(batch, "start_process_pool", counting)
+    return starts
+
+
+class TestWarmPool:
+    def test_one_pool_per_cli_command(self, pool_starts, tmp_path, capsys):
+        from repro.cli import main
+
+        def curve_points(workers: int) -> list[dict]:
+            code = main([
+                "analyze", "curve", "--circuit", "misex1",
+                "--rates", "0.05,0.1", "--tolerance", "0.01",
+                "--workers", str(workers),
+                "--jsonl", str(tmp_path / f"workers-{workers}.jsonl"), "--json",
+            ])
+            assert code == 0
+            return json.loads(capsys.readouterr().out)["result"]["points"]
+
+        pooled = curve_points(2)
+        # Every adaptive round of both curve points ran on one pool,
+        # which ended with the command.
+        assert pool_starts == [2]
+        assert multiprocessing.active_children() == []
+        assert pooled == curve_points(1)
+        assert pool_starts == [2]
+
+    def test_failed_run_leaves_a_fresh_pool_for_the_next(self, pool_starts):
+        payloads = list(range(6))
+        with warm_pool():
+            with pytest.raises(BrokenProcessPool):
+                BatchRunner(2).run(_exit_worker, payloads)
+            assert BatchRunner(2).run(_square, payloads) == [x * x for x in payloads]
+        assert pool_starts == [2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_base_exception_propagates_and_the_scope_joins_its_workers(self):
+        with pytest.raises(_Stop):
+            with warm_pool():
+                BatchRunner(2).run(_stop, list(range(6)))
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
