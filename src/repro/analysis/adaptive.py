@@ -5,7 +5,7 @@ no matter how decisive the evidence already is.  With the vectorized
 engine making 10^5-10^6 samples cheap, the right question inverts: *how
 many samples does a target precision need?*
 :func:`run_adaptive_monte_carlo` answers it by growing one experiment in
-deterministic batches until every tracked algorithm's binomial CI
+deterministic batches until every raced algorithm's binomial CI
 half-width (:mod:`repro.analysis.confidence`) reaches a tolerance —
 typically orders of magnitude below the worst-case fixed budget
 (:func:`~repro.analysis.confidence.fixed_sample_budget`) because real
@@ -27,10 +27,10 @@ Determinism guarantees (tested in ``tests/test_analysis.py``):
   counting statistics to a fixed run of ``sample_size=N``.
 * **Worker-count invariance** — the stopping rule reads only counting
   statistics, which the batch engine guarantees are identical for every
-  worker count; the batch schedule (``initial_batch`` growing by
-  ``growth`` up to ``max_batch``) is pure configuration.  Hence the
-  number of samples drawn — not just their results — is the same on 1
-  worker or 32.
+  worker count; the batch schedule (:data:`INITIAL_BATCH` samples,
+  doubling up to :data:`MAX_BATCH`) is fixed.  Hence the number of
+  samples drawn — not just their results — is the same on 1 worker or
+  32.
 
 ``docs/statistics.md`` discusses the sequential-looking caveat (CIs are
 computed at interim looks, so end-of-run coverage is approximately, not
@@ -39,8 +39,7 @@ exactly, nominal).
 
 from __future__ import annotations
 
-import math
-from collections.abc import Generator, Mapping
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from repro.analysis.confidence import (
@@ -57,19 +56,16 @@ from repro.experiments.monte_carlo import (
     run_mapping_monte_carlo,
 )
 
-#: Default first-batch size (one vectorized chunk's worth of samples).
-DEFAULT_INITIAL_BATCH = 64
+#: First-batch size of an adaptive run (one vectorized chunk's worth of
+#: samples); each following batch doubles.
+INITIAL_BATCH = 64
 
-#: Default cap on how far batches grow; bounds per-round latency and the
+#: Cap on how far batches grow; bounds per-round latency and the
 #: worst-case overshoot past the stopping point.
-DEFAULT_MAX_BATCH = 8192
+MAX_BATCH = 8192
 
 #: Default hard ceiling on the total sample budget.
 DEFAULT_MAX_SAMPLES = 100_000
-
-#: Default floor before the stopping rule may fire (guards against a
-#: lucky tiny first batch).
-DEFAULT_MIN_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -216,17 +212,11 @@ def run_adaptive_monte_carlo(
     seed: int = 0,
     extra_rows: int = 0,
     extra_columns: int = 0,
-    validate: bool = True,
     workers: int | None = None,
     chunk_size: int | None = None,
     engine: str = "auto",
     multilevel: dict | None = None,
-    track: str | None = None,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
     max_samples: int = DEFAULT_MAX_SAMPLES,
-    initial_batch: int = DEFAULT_INITIAL_BATCH,
-    growth: float = 2.0,
-    max_batch: int = DEFAULT_MAX_BATCH,
 ) -> AdaptiveResult:
     """Run the Monte-Carlo protocol until the CI half-width hits a target.
 
@@ -237,25 +227,18 @@ def run_adaptive_monte_carlo(
 
     tolerance:
         Target CI half-width (e.g. ``0.005`` = ±0.5 %).  The loop stops
-        as soon as every tracked algorithm's half-width is at or below
+        as soon as every raced algorithm's half-width is at or below
         it.  ``None`` is a fixed budget: one batch of ``max_samples``,
         the paper's protocol, reported as converged.
-    track:
-        Converge on one algorithm's CI only (``"hybrid"``); default
-        ``None`` requires *all* raced algorithms to reach the tolerance.
-    min_samples / max_samples:
-        Never stop before ``min_samples`` (guards against a lucky tiny
-        first batch) and never draw more than ``max_samples`` (the
-        budget; ``converged`` is ``False`` when it is exhausted first).
-        A budget below ``min_samples`` wins: the floor is clamped to it,
-        so a tiny ``max_samples`` runs to the ceiling and reports
-        non-convergence instead of erroring on the default floor.
-    initial_batch / growth / max_batch:
-        The deterministic batch schedule: the first batch draws
-        ``initial_batch`` samples and each following batch is ``growth``
-        times larger, capped at ``max_batch``.  Geometric growth keeps
-        the number of rounds (and engine round-trips) logarithmic while
-        bounding overshoot past the stopping point to one batch.
+    max_samples:
+        Never draw more than ``max_samples`` (the budget; ``converged``
+        is ``False`` when it is exhausted first).
+
+    The batch schedule is fixed: the first batch draws
+    :data:`INITIAL_BATCH` samples and each following batch doubles, up
+    to :data:`MAX_BATCH`.  Geometric growth keeps the number of rounds
+    (and engine round-trips) logarithmic while bounding overshoot past
+    the stopping point to one batch.
     """
     if tolerance is not None and not 0.0 < tolerance < 0.5:
         raise ExperimentError(f"tolerance must lie in (0, 0.5), got {tolerance}")
@@ -264,44 +247,17 @@ def run_adaptive_monte_carlo(
             f"unknown CI method {method!r}; expected one of {list(CI_METHODS)}"
         )
     engine = resolve_mapping_engine(engine)
-    if initial_batch < 1:
-        raise ExperimentError(
-            f"initial_batch must be >= 1, got {initial_batch}"
-        )
-    if growth < 1.0:
-        raise ExperimentError(f"growth must be >= 1, got {growth}")
-    if max_batch < initial_batch:
-        raise ExperimentError(
-            f"max_batch ({max_batch}) must be >= initial_batch "
-            f"({initial_batch})"
-        )
     if max_samples < 1:
         raise ExperimentError(f"max_samples must be >= 1, got {max_samples}")
     if len(algorithms) == 0:
         raise ExperimentError(
-            "adaptive sampling needs at least one algorithm to track"
+            "adaptive sampling needs at least one algorithm to race"
         )
-    if track is not None:
-        names = (
-            list(algorithms)
-            if not isinstance(algorithms, Mapping)
-            else list(algorithms.keys())
-        )
-        if track not in names:
-            raise ExperimentError(
-                f"cannot track algorithm {track!r}; this experiment runs "
-                f"{sorted(str(name) for name in names)}"
-            )
     loop = adaptive_loop(
         tolerance=tolerance,
         confidence=confidence,
         method=method,
-        track=track,
-        min_samples=min_samples,
         max_samples=max_samples,
-        initial_batch=initial_batch,
-        growth=growth,
-        max_batch=max_batch,
     )
     offset, size = next(loop)
     while True:
@@ -314,7 +270,6 @@ def run_adaptive_monte_carlo(
             seed=seed,
             extra_rows=extra_rows,
             extra_columns=extra_columns,
-            validate=validate,
             workers=workers,
             chunk_size=chunk_size,
             defect_model=defect_model,
@@ -333,12 +288,7 @@ def adaptive_loop(
     tolerance: float | None,
     confidence: float = 0.95,
     method: str = "wilson",
-    track: str | None = None,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
     max_samples: int = DEFAULT_MAX_SAMPLES,
-    initial_batch: int = DEFAULT_INITIAL_BATCH,
-    growth: float = 2.0,
-    max_batch: int = DEFAULT_MAX_BATCH,
 ) -> Generator[tuple[int, int], MonteCarloResult, AdaptiveResult]:
     """The batch schedule and stopping rule, apart from how batches run.
 
@@ -352,12 +302,11 @@ def adaptive_loop(
     stops.  The keywords are those of :func:`run_adaptive_monte_carlo`,
     which validates them.
     """
-    min_samples = min(min_samples, max_samples)
     result: MonteCarloResult | None = None
     batches: list[AdaptiveBatch] = []
     converged = False
     offset = 0
-    batch = initial_batch if tolerance is not None else max_samples
+    batch = INITIAL_BATCH if tolerance is not None else max_samples
     while offset < max_samples:
         size = min(batch, max_samples - offset)
         partial = yield offset, size
@@ -380,15 +329,10 @@ def adaptive_loop(
                 offset=offset - size, size=size, half_widths=half_widths
             )
         )
-        tracked = (
-            [half_widths[track]] if track is not None else half_widths.values()
-        )
-        if tolerance is None or (
-            offset >= min_samples and max(tracked) <= tolerance
-        ):
+        if tolerance is None or max(half_widths.values()) <= tolerance:
             converged = True
             break
-        batch = min(math.ceil(batch * growth), max_batch)
+        batch = min(batch * 2, MAX_BATCH)
 
     assert result is not None  # max_samples >= 1 guarantees one batch
     return AdaptiveResult(

@@ -340,7 +340,6 @@ def compute_yield_curve(
     workers: int | None = None,
     engine: str = "auto",
     max_samples: int = DEFAULT_MAX_SAMPLES,
-    naive_baseline: bool = True,
 ) -> YieldCurve:
     """Sweep the defect rate into a :class:`YieldCurve` with CIs.
 
@@ -351,7 +350,7 @@ def compute_yield_curve(
     budget (``max_samples`` is ignored).  Each point uses the same
     root ``seed`` (matching the defect-sweep convention), so curves are
     comparable across rates and runs.  ``rates`` are deduplicated and
-    sorted; the ``naive_baseline`` column only appears for pure
+    sorted; the naive-survival column only appears for pure
     stuck-open sweeps, where its closed form is valid.
     """
     rates = sorted({float(rate) for rate in rates})
@@ -364,7 +363,7 @@ def compute_yield_curve(
     # the mix rather than reporting a number that is too high.
     baseline = (
         naive_survival_curve(function, rates)
-        if naive_baseline and stuck_open_fraction == 1.0
+        if stuck_open_fraction == 1.0
         else [None] * len(rates)
     )
     budget = samples if tolerance is None else max_samples

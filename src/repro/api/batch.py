@@ -29,6 +29,9 @@ from dataclasses import dataclass
 
 from repro.exceptions import ExperimentError
 
+#: Auto mode (``workers=None``) stays serial below this many items.
+MIN_PARALLEL_ITEMS = 64
+
 
 def _noop() -> None:
     """Picklable no-op used to probe process-spawn rights."""
@@ -177,18 +180,15 @@ class BatchRunner:
         ``1`` forces serial in-process execution; an integer ``> 1``
         forces a :class:`~concurrent.futures.ProcessPoolExecutor` of
         that size; ``None`` (auto) uses the CPU count but stays serial
-        when the machine has a single core or the batch is trivially
-        small (``min_parallel_items``) — spawning a pool would only add
-        overhead there.
-    min_parallel_items:
-        Auto mode stays serial below this many items.
+        when the machine has a single core or the batch has fewer than
+        :data:`MIN_PARALLEL_ITEMS` items — spawning a pool would only
+        add overhead there.
     """
 
-    def __init__(self, workers: int | None = None, *, min_parallel_items: int = 64):
+    def __init__(self, workers: int | None = None):
         if workers is not None and workers < 1:
             raise ExperimentError(f"workers must be >= 1 or None, got {workers}")
         self.workers = workers
-        self.min_parallel_items = min_parallel_items
         #: Worker count the most recent :meth:`run` actually used (1 when
         #: it took the serial path, including the no-spawn-rights
         #: fallback).  ``None`` until the first run.
@@ -198,7 +198,7 @@ class BatchRunner:
         """Worker count actually used for a batch of ``total_items``."""
         if self.workers is not None:
             return self.workers
-        if total_items < self.min_parallel_items:
+        if total_items < MIN_PARALLEL_ITEMS:
             return 1
         return auto_workers()
 

@@ -362,7 +362,6 @@ class Design:
         defects: DefectMap | DefectProfile | DefectModel | float | str | None = None,
         algorithm: str | Mapper = "hybrid",
         seed: int = 0,
-        validate: bool = True,
         **mapper_options,
     ) -> "MappedDesign":
         """Map the design onto one (possibly defective) crossbar.
@@ -384,10 +383,10 @@ class Design:
             registry factory when a name is given.
         seed:
             Defect-injection seed (ignored for a pre-built map).
-        validate:
-            Run the (comparatively expensive) functional simulation
-            check in :meth:`MappedDesign.evaluate`; the cheap
-            matrix-level check always runs for successful mappings.
+
+        A staged design checks each stage's assignment at the matrix
+        level during the walk; a two-level mapping is checked, and
+        simulated functionally, by :meth:`MappedDesign.evaluate`.
         """
         self._require_staged_if_decomposed("map")
         rows, columns = self.crossbar_shape
@@ -420,9 +419,7 @@ class Design:
             algorithm_name = getattr(mapper, "algorithm_name", type(mapper).__name__)
 
         if self._staged:
-            return self._map_staged(
-                defect_map, mapper, algorithm_name, validate=validate
-            )
+            return self._map_staged(defect_map, mapper, algorithm_name)
 
         matrix = self.function_matrix()
         effective_map = defect_map
@@ -452,7 +449,6 @@ class Design:
             defect_map=defect_map,
             effective_map=effective_map,
             result=result,
-            validate=validate,
         )
 
     def _require_staged_if_decomposed(self, terminal: str) -> None:
@@ -463,7 +459,7 @@ class Design:
             )
 
     def _map_staged(
-        self, defect_map: DefectMap, mapper, algorithm_name: str, *, validate: bool
+        self, defect_map: DefectMap, mapper, algorithm_name: str
     ) -> "MultiLevelMappedDesign":
         """Per-stage mapping of one staged sample (the multi-level walk)."""
         from repro.multilevel import map_multilevel
@@ -492,7 +488,6 @@ class Design:
                 mapper,
                 effective_map,
                 extra_rows=self._extra_rows,
-                validate=validate,
             )
         return MultiLevelMappedDesign(
             design=self._evolve(self._function, f"map[{algorithm_name}]"),
@@ -510,7 +505,6 @@ class Design:
         sample_size: int = 200,
         algorithms: Sequence[str] | Mapping[str, Mapper] = ("hybrid", "exact"),
         seed: int = 0,
-        validate: bool = True,
         workers: int | None = None,
         chunk_size: int | None = None,
         defect_model: DefectModel | str | dict | None = None,
@@ -537,7 +531,6 @@ class Design:
             seed=seed,
             extra_rows=self._extra_rows,
             extra_columns=self._extra_columns,
-            validate=validate,
             workers=workers,
             chunk_size=chunk_size,
             defect_model=defect_model,
@@ -556,7 +549,6 @@ class Design:
         defect_model: DefectModel | str | dict | None = None,
         algorithms: Sequence[str] | Mapping[str, Mapper] = ("hybrid", "exact"),
         seed: int = 0,
-        validate: bool = True,
         workers: int | None = None,
         engine: str = "auto",
         max_samples: int = 100_000,
@@ -587,7 +579,6 @@ class Design:
             seed=seed,
             extra_rows=self._extra_rows,
             extra_columns=self._extra_columns,
-            validate=validate,
             workers=workers,
             engine=engine,
             multilevel=self._multilevel if self._staged else None,
@@ -609,7 +600,6 @@ class MappedDesign:
     defect_map: DefectMap
     effective_map: DefectMap
     result: MappingResult
-    validate: bool = True
 
     @property
     def success(self) -> bool:
@@ -619,10 +609,13 @@ class MappedDesign:
     def __bool__(self) -> bool:
         return self.success
 
-    def evaluate(
-        self, *, functional_samples: int = 64, exhaustive_limit: int = 10
-    ) -> EvaluationResult:
-        """Validate the mapping and condense everything into a report."""
+    def evaluate(self) -> EvaluationResult:
+        """Validate the mapping and condense everything into a report.
+
+        A successful mapping gets the matrix-level check and a
+        functional simulation: exhaustive up to 10 inputs, 64 sampled
+        input vectors beyond.
+        """
         function = self.design.function
         matrix = self.design.function_matrix()
         valid = False
@@ -631,14 +624,13 @@ class MappedDesign:
             valid = validate_assignment(
                 matrix, CrossbarMatrix(self.effective_map), self.result
             )
-            if self.validate:
-                functionally_valid = validate_functionally(
-                    function,
-                    self.effective_map,
-                    self.result,
-                    exhaustive_limit=exhaustive_limit,
-                    samples=functional_samples,
-                )
+            functionally_valid = validate_functionally(
+                function,
+                self.effective_map,
+                self.result,
+                exhaustive_limit=10,
+                samples=64,
+            )
         rows, columns = self.design.crossbar_shape
         return EvaluationResult(
             function_name=function.name or "<anonymous>",
@@ -676,7 +668,6 @@ class MappedDesign:
             "extra_columns": self.design.extra_columns,
             "defect_map": defect_map_to_dict(self.defect_map),
             "result": self.result.to_dict(),
-            "validate": self.validate,
         }
 
     @classmethod
@@ -708,7 +699,6 @@ class MappedDesign:
             defect_map=defect_map,
             effective_map=effective_map,
             result=MappingResult.from_dict(payload["result"]),
-            validate=payload.get("validate", True),
         )
 
 

@@ -388,7 +388,6 @@ def _run_mapping_protocol(
             seed=scenario.seed,
             extra_rows=extra_rows,
             extra_columns=extra_columns,
-            validate=scenario.options.get("validate", True),
             workers=workers,
             chunk_size=chunk_size,
             engine=engine,

@@ -241,9 +241,10 @@ class Scenario:
     protocol:
         ``"mapping"`` or ``"area"`` (see the module docstring).
     options:
-        Free-form JSON-safe protocol options (e.g. ``validate`` for
-        mapping, ``minimize_before_synthesis`` for area; mapping runs
-        also honour ``confidence`` and ``ci_method``).
+        Free-form JSON-safe protocol options: mapping runs honour
+        ``multilevel``, ``confidence`` and ``ci_method``, area runs
+        ``minimize_before_synthesis``.  Other keys are hashed with the
+        spec but never read.
     tolerance:
         Each ``"mapping"`` redundancy level is one run of the adaptive
         sampler of :mod:`repro.analysis`.  ``None`` (default) is its
@@ -330,18 +331,14 @@ class Scenario:
         *,
         samples: int | None = None,
         seed: int | None = None,
-        workers: int | None = None,
         tolerance: float | None = None,
     ) -> "Scenario":
         """A copy with CLI-style overrides applied (``None`` = keep).
 
-        ``workers`` is accepted for call-site symmetry but ignored — it
-        is an execution detail, not part of the spec (and therefore not
-        part of the cache key).  ``tolerance`` only applies to mapping
-        scenarios; area scenarios ignore it rather than erroring, so a
-        suite-wide override doesn't trip over its area members.
+        ``tolerance`` only applies to mapping scenarios; area scenarios
+        ignore it rather than erroring, so a suite-wide override doesn't
+        trip over its area members.
         """
-        del workers
         updates: dict[str, Any] = {}
         if samples is not None:
             updates["samples"] = samples

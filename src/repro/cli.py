@@ -232,17 +232,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.circuits.registry import get_benchmark
 
     circuit = args.circuit or ANALYZE_DEFAULT_CIRCUITS[args.what]
+    algorithms_text = args.algorithms
+    if algorithms_text is None:
+        algorithms_text = "hybrid" if args.what == "spares" else "hybrid,exact"
     algorithms = tuple(
-        part.strip() for part in args.algorithms.split(",") if part.strip()
+        part.strip() for part in algorithms_text.split(",") if part.strip()
     )
     if not algorithms:
         raise ExperimentError(
             f"--algorithms needs at least one mapper name, got "
-            f"{args.algorithms!r}"
+            f"{algorithms_text!r}"
         )
-    if args.what == "spares":
-        # The spare search races a single mapper.
-        algorithms = algorithms[:1]
+    if args.what == "spares" and len(algorithms) > 1:
+        raise ExperimentError(
+            f"`analyze spares` searches with one mapper; --algorithms got "
+            f"{len(algorithms)}: {algorithms_text!r}"
+        )
     engine = canonical_engine(args.engine)
     tolerance = args.tolerance
     if args.what == "yield" and tolerance is None:
@@ -692,10 +697,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.add_argument(
         "--algorithms",
-        default="hybrid,exact",
+        default=None,
         help=(
             "comma-separated mapper registry names (default: hybrid,exact; "
-            "spares uses the first)"
+            "spares takes exactly one, default hybrid)"
         ),
     )
     analyze_parser.add_argument(

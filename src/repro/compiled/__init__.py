@@ -89,12 +89,15 @@ def get_kernels():
 
     The object exposes ``backend`` (name), ``compatibility_tensor(fm_rows,
     cm_stack)``, ``map_builtin_batch(compat, closed, num_minterms,
-    kind=..., check_validity=...)``, ``merge_distance_one(values)`` and
+    kind=...)``, ``merge_distance_one(values)`` and
     ``inject_uniform_batch(stream_seeds, rows, columns, rate=...,
     stuck_open_fraction=...)`` — see :mod:`repro.compiled.cext` and the
-    oracle module for the exact array contracts.  The last returns the
-    ``(functional, closed_rows, closed_columns)`` tensors of what
-    ``random.Random(stream_seed)`` draws under
+    oracle module for the exact array contracts.  ``map_builtin_batch``
+    always checks each assignment its greedy and hybrid modes find and
+    returns the verdicts as its ``valid`` array (exact mode only decides
+    existence, so its ``valid`` stays 1).  ``inject_uniform_batch``
+    returns the ``(functional, closed_rows, closed_columns)`` tensors of
+    what ``random.Random(stream_seed)`` draws under
     :func:`repro.defects.injection.draw_uniform`, one sample per seed.
     """
     return _ensure()[1]

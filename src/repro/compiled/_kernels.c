@@ -105,14 +105,15 @@ static int saturating(const uint8_t *adj, int64_t num_left, int64_t num_right,
 
 /* Run one built-in mapper over every undecided sample of a batch.
  * compat: num_samples x num_fm_rows x num_rows, closed: num_samples x
- * num_rows (both uint8 row-major).  Returns 0, or -1 on allocation
- * failure (the caller falls back to the Python replicas). */
+ * num_rows (both uint8 row-major).  Every assignment the greedy or
+ * hybrid mode finds is checked (injective, every pair compatible) into
+ * valid[].  Returns 0, or -1 on allocation failure (the ctypes wrapper
+ * raises MemoryError). */
 int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
                             int64_t num_samples, int64_t num_fm_rows,
                             int64_t num_rows, int64_t num_minterms,
-                            int32_t mode, int32_t check_validity,
-                            uint8_t *success, int64_t *backtracks,
-                            uint8_t *valid) {
+                            int32_t mode, uint8_t *success,
+                            int64_t *backtracks, uint8_t *valid) {
     uint8_t *allowed_all = malloc((size_t)num_rows);
     int64_t *match_right = malloc((size_t)num_rows * sizeof(int64_t));
     uint8_t *visited = malloc((size_t)num_rows);
@@ -221,18 +222,14 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
                     assigned[num_minterms + match_right[h]] = h;
         }
         success[s] = 1;
-        if (check_validity) {
-            int good = 1;
-            memset(seen, 0, (size_t)num_rows);
-            for (int64_t f = 0; f < num_fm_rows; f++) {
-                int64_t row = assigned[f];
-                if (row < 0 || seen[row] || !adj[f * num_rows + row]) {
-                    good = 0;
-                    break;
-                }
-                seen[row] = 1;
+        memset(seen, 0, (size_t)num_rows);
+        for (int64_t f = 0; f < num_fm_rows; f++) {
+            int64_t row = assigned[f];
+            if (row < 0 || seen[row] || !adj[f * num_rows + row]) {
+                valid[s] = 0;
+                break;
             }
-            valid[s] = (uint8_t)good;
+            seen[row] = 1;
         }
     }
 

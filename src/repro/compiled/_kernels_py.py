@@ -10,12 +10,13 @@ module sample for sample, and this module to the NumPy replicas.
 
 Array contracts (all C-contiguous):
 
-``map_builtin_batch(compat, closed, num_minterms, mode, check_validity)``
+``map_builtin_batch(compat, closed, num_minterms, mode)``
     ``compat``: ``uint8 (samples, fm_rows, xbar_rows)`` compatibility
     tensor with stuck-closed rows already zeroed; ``closed``: ``uint8
     (samples, xbar_rows)`` stuck-closed row mask; ``mode``: 0 exact /
     1 greedy / 2 hybrid.  Returns ``(success uint8[s], backtracks
-    int64[s], valid uint8[s])``.
+    int64[s], valid uint8[s])``; ``valid`` is 0 where a greedy or hybrid
+    success failed the assignment check, 1 everywhere else.
 
 ``merge_distance_one(values)``
     ``values``: ``uint8 (cubes, inputs)`` cube-value matrix (0/1/2,
@@ -118,7 +119,7 @@ def _saturating(adj, allowed, match_right, visited, stack_left, stack_pos,
     return True
 
 
-def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
+def map_builtin_batch(compat, closed, num_minterms, mode):
     """Run one built-in mapper over every sample of a batch."""
     num_samples = compat.shape[0]
     num_fm_rows = compat.shape[1]
@@ -214,17 +215,14 @@ def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
                 if match_right[h] >= 0:
                     assigned[num_minterms + match_right[h]] = h
         success[s] = 1
-        if check_validity != 0:
-            good = True
-            for h in range(num_rows):
-                seen[h] = 0
-            for f in range(num_fm_rows):
-                row = assigned[f]
-                if row < 0 or seen[row] != 0 or adj[f, row] == 0:
-                    good = False
-                    break
-                seen[row] = 1
-            valid[s] = 1 if good else 0
+        for h in range(num_rows):
+            seen[h] = 0
+        for f in range(num_fm_rows):
+            row = assigned[f]
+            if row < 0 or seen[row] != 0 or adj[f, row] == 0:
+                valid[s] = 0
+                break
+            seen[row] = 1
     return success, backtracks, valid
 
 

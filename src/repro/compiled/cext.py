@@ -99,7 +99,7 @@ def _load(lib_path: Path) -> ctypes.CDLL:
     lib.repro_map_builtin_batch.argtypes = [
         _U8, _U8,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int32, ctypes.c_int32,
+        ctypes.c_int32,
         _U8, _I64, _U8,
     ]
     lib.repro_map_builtin_batch.restype = ctypes.c_int
@@ -138,8 +138,7 @@ class CKernels:
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
 
-    def map_builtin_batch(self, compat, closed, num_minterms, *, kind,
-                          check_validity):
+    def map_builtin_batch(self, compat, closed, num_minterms, *, kind):
         compat = _as_u8(compat)
         closed = _as_u8(closed)
         num_samples, num_fm_rows, num_rows = compat.shape
@@ -157,7 +156,7 @@ class CKernels:
             compat.ctypes.data_as(_U8),
             closed.ctypes.data_as(_U8),
             num_samples, num_fm_rows, num_rows, num_minterms,
-            _MODES[kind], 1 if check_validity else 0,
+            _MODES[kind],
             success.ctypes.data_as(_U8),
             backtracks.ctypes.data_as(_I64),
             valid.ctypes.data_as(_U8),
@@ -245,7 +244,7 @@ def kernels() -> CKernels:
     assert compat.tolist() == [[[True]]]
     closed = np.zeros((1, 1), dtype=np.uint8)
     success, backtracks, valid = backend.map_builtin_batch(
-        compat, closed, 1, kind="hybrid", check_validity=True
+        compat, closed, 1, kind="hybrid"
     )
     assert int(success[0]) == 1 and int(backtracks[0]) == 0
     merged = backend.merge_distance_one(

@@ -387,7 +387,6 @@ class _ChunkTask:
     seed: int
     start: int
     stop: int
-    validate: bool
     engine: str = "vectorized"
     #: Normalized multi-level spec, or None for the two-level protocol.
     multilevel: dict | None = None
@@ -453,9 +452,7 @@ def _run_reference(
                 outcome.total_backtracks += mapping.statistics.backtracks
                 if not mapping.success:
                     break
-                if task.validate and not validate_assignment(
-                    matrix, crossbar, mapping
-                ):
+                if not validate_assignment(matrix, crossbar, mapping):
                     outcome.invalid_mappings += 1
                     break
             else:
@@ -493,7 +490,6 @@ def _run_batched(
             matrix,
             task.mappers,
             batch.restricted_to_rows(lo, hi),
-            validate=task.validate,
             engine=task.engine,
         )
         shared_seconds += result.shared_seconds
@@ -542,7 +538,6 @@ def run_mapping_monte_carlo(
     seed: int = 0,
     extra_rows: int = 0,
     extra_columns: int = 0,
-    validate: bool = True,
     workers: int | None = None,
     chunk_size: int | None = None,
     defect_model: DefectModel | str | dict | None = None,
@@ -551,6 +546,11 @@ def run_mapping_monte_carlo(
     multilevel: dict | None = None,
 ) -> MonteCarloResult:
     """Run the paper's Monte-Carlo mapping protocol on one function.
+
+    A sample counts as mapped only when its row assignment passes the
+    matrix-level check, as in the paper's §V protocol; a success that
+    fails it counts as an invalid mapping instead (there should be
+    none).
 
     Parameters
     ----------
@@ -578,9 +578,6 @@ def run_mapping_monte_carlo(
         serial run and void the determinism guarantee.
     extra_rows / extra_columns:
         Redundant lines beyond the optimum size (0 = the paper's setup).
-    validate:
-        Double-check every successful mapping at the matrix level and
-        count violations separately (should always be zero).
     workers:
         ``1`` = serial, ``N`` = process pool of that size, ``None``
         (default) = auto.  The counting statistics are identical for
@@ -677,7 +674,6 @@ def run_mapping_monte_carlo(
             seed=seed,
             start=sample_offset + chunk.start,
             stop=sample_offset + chunk.stop,
-            validate=validate,
             engine=engine,
             multilevel=multilevel,
         )

@@ -170,7 +170,7 @@ def run_tradeoff(
     strategy: str = "best",
     seed: int = 11,
     workers: int | None = None,
-    engine: str = "vectorized",
+    engine: str = "auto",
 ) -> TradeoffResult:
     """Run the two-level vs multi-level comparison end to end.
 

@@ -142,11 +142,14 @@ def map_sample_batch(
     mappers: dict,
     batch: DefectBatch,
     *,
-    validate: bool = True,
-    max_tensor_cells: int = MAX_TENSOR_CELLS,
     engine: str = "vectorized",
 ) -> BatchMapResult:
     """Map one chunk of the Monte-Carlo sample stream, vectorized.
+
+    Every successful mapping is checked, and one that fails the check
+    counts as an invalid mapping instead of a success, as on the
+    reference engine.  Sub-batches cap the compatibility tensor at
+    :data:`MAX_TENSOR_CELLS` cells.
 
     Parameters
     ----------
@@ -162,11 +165,6 @@ def map_sample_batch(
         any spare-column repair already applied.  A multi-level run hands
         over one row bank of its chunk at a time
         (:meth:`~repro.defects.batch.DefectBatch.restricted_to_rows`).
-    validate:
-        Double-check successful mappings and count violations separately
-        (mirrors the reference engine's flag).
-    max_tensor_cells:
-        Sub-batch cap on ``samples x rows x fm_rows`` cells.
     engine:
         ``"vectorized"`` (default) settles the structurally feasible
         samples with the NumPy replicas below; ``"compiled"`` batches
@@ -232,13 +230,11 @@ def map_sample_batch(
             builtin,
             outcomes,
             np.flatnonzero(feasible),
-            validate=validate,
-            max_tensor_cells=max_tensor_cells,
             kernels=kernels,
         )
     if opaque:
         active = np.flatnonzero(~batch.dropped)
-        _run_object_fallback(fm, batch, opaque, outcomes, active, validate=validate)
+        _run_object_fallback(fm, batch, opaque, outcomes, active)
 
     return BatchMapResult(
         start=batch.start,
@@ -259,8 +255,6 @@ def _run_builtin_mappers(
     outcomes: dict,
     feasible: np.ndarray,
     *,
-    validate: bool,
-    max_tensor_cells: int,
     kernels=None,
 ) -> float:
     """Map the structurally feasible samples; returns shared stage time.
@@ -274,7 +268,7 @@ def _run_builtin_mappers(
     replicas.
     """
     num_minterms = fm.num_minterm_rows
-    sub_size = max(1, max_tensor_cells // max(1, batch.rows * fm.num_rows))
+    sub_size = max(1, MAX_TENSOR_CELLS // max(1, batch.rows * fm.num_rows))
     shared_seconds = 0.0
 
     for lo in range(0, feasible.size, sub_size):
@@ -294,20 +288,13 @@ def _run_builtin_mappers(
             if kernels is not None:
                 kernel_start = time.perf_counter()
                 success, backtracks, valid = kernels.map_builtin_batch(
-                    compat,
-                    closed,
-                    num_minterms,
-                    kind=kind,
-                    check_validity=validate,
+                    compat, closed, num_minterms, kind=kind
                 )
                 succeeded = success.astype(bool)
+                invalid = succeeded & ~valid.astype(bool)
                 outcome.backtracks[idx] = backtracks
-                if validate:
-                    invalid = succeeded & ~valid.astype(bool)
-                    outcome.invalid[idx] = invalid
-                    outcome.success[idx] = succeeded & ~invalid
-                else:
-                    outcome.success[idx] = succeeded
+                outcome.invalid[idx] = invalid
+                outcome.success[idx] = succeeded & ~invalid
                 outcome.decision[idx] = DECISION_COMPILED
                 outcome.runtime[idx] += (
                     time.perf_counter() - kernel_start
@@ -326,10 +313,9 @@ def _run_builtin_mappers(
                         usable_rows,
                         num_minterms,
                         backtracking=kind == "hybrid",
-                        check_validity=validate,
                     )
                 outcome.backtracks[offset] = backtracks
-                if success and validate and not valid:
+                if success and not valid:
                     outcome.invalid[offset] = True
                 else:
                     outcome.success[offset] = success
@@ -408,7 +394,6 @@ def _replica_hybrid(
     num_minterms: int,
     *,
     backtracking: bool,
-    check_validity: bool,
 ) -> tuple[bool, int, bool]:
     """NumPy replica of HBA's matcher + output assignment.
 
@@ -458,14 +443,12 @@ def _replica_hybrid(
             return False, backtracks, True
         assigned_row[num_minterms:] = unmatched[matching]
 
-    valid = True
-    if check_validity:
-        # The vectorized counterpart of validate_assignment: injective,
-        # usable rows only (by construction), every pair compatible.
-        valid = bool(
-            len(np.unique(assigned_row)) == assigned_row.size
-            and compat_rows[np.arange(assigned_row.size), assigned_row].all()
-        )
+    # The vectorized counterpart of validate_assignment: injective,
+    # usable rows only (by construction), every pair compatible.
+    valid = bool(
+        len(np.unique(assigned_row)) == assigned_row.size
+        and compat_rows[np.arange(assigned_row.size), assigned_row].all()
+    )
     return True, backtracks, valid
 
 
@@ -486,8 +469,6 @@ def _run_object_fallback(
     mappers: dict,
     outcomes: dict,
     active: np.ndarray,
-    *,
-    validate: bool,
 ) -> None:
     for offset in active:
         defect_map = batch.maps[int(offset)]
@@ -499,9 +480,7 @@ def _run_object_fallback(
             outcome.backtracks[offset] = mapping.statistics.backtracks
             outcome.decision[offset] = DECISION_OBJECT
             if mapping.success:
-                if validate and not validate_assignment(
-                    fm, crossbar_matrix, mapping
-                ):
+                if not validate_assignment(fm, crossbar_matrix, mapping):
                     outcome.invalid[offset] = True
                 else:
                     outcome.success[offset] = True

@@ -133,7 +133,6 @@ def map_multilevel(
     defect_map: DefectMap,
     *,
     extra_rows: int = 0,
-    validate: bool = True,
 ) -> MultiLevelMappingResult:
     """Map one staged design onto one (repaired) physical defect map.
 
@@ -159,9 +158,9 @@ def map_multilevel(
     for stage, (lo, hi) in zip(plan.stages, plan.bank_bounds(extra_rows)):
         crossbar = CrossbarMatrix(defect_map.restricted_to_rows(lo, hi))
         result = mapper.map(stage.matrix, crossbar)
-        valid = True
-        if result.success and validate:
-            valid = validate_assignment(stage.matrix, crossbar, result)
+        valid = not result.success or validate_assignment(
+            stage.matrix, crossbar, result
+        )
         outcome.stages.append(
             StageMappingOutcome(
                 stage_label=stage.label,

@@ -158,7 +158,6 @@ def execute_chunk(job: ChunkJob) -> dict:
         seed=scenario.seed,
         extra_rows=extra_rows,
         extra_columns=extra_columns,
-        validate=scenario.options.get("validate", True),
         workers=1,
         chunk_size=chunk.size,
         engine=job.engine,

@@ -9,6 +9,8 @@ round-trips of every result object.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -170,7 +172,7 @@ class TestBatchRunner:
         assert serial == parallel == [x * x for x in payloads]
 
     def test_auto_stays_serial_for_small_batches(self):
-        runner = BatchRunner(None, min_parallel_items=64)
+        runner = BatchRunner(None)
         assert runner.resolved_workers(10) == 1
 
     def test_invalid_workers(self):
@@ -461,8 +463,13 @@ class TestSerialization:
             .map(defects=0.1, seed=6)
         )
         payload = json.loads(json.dumps(mapped.to_dict()))
+        assert "validate" not in payload
         rebuilt = MappedDesign.from_dict(payload)
         assert rebuilt.result == mapped.result
+        # Snapshots written before validation became unconditional
+        # carry a "validate" key; they still load.
+        legacy = MappedDesign.from_dict({**payload, "validate": True})
+        assert legacy.result == mapped.result
         assert rebuilt.design.function.equivalent(mapped.design.function)
         # The rebuilt snapshot evaluates to the same verdicts.
         assert (
@@ -475,6 +482,34 @@ class TestSerialization:
         payload["bogus"] = 1
         with pytest.raises(ExperimentError):
             EvaluationResult.from_dict(payload)
+
+
+# ----------------------------------------------------------------------
+# Engine defaults
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "target",
+    [
+        "repro.experiments.monte_carlo:run_mapping_monte_carlo",
+        "repro.analysis.adaptive:run_adaptive_monte_carlo",
+        "repro.analysis.yield_curves:compute_yield_curve",
+        "repro.analysis.spares:optimize_spares",
+        "repro.api.runner:run_scenario",
+        "repro.api.runner:run_suite",
+        "repro.experiments.tradeoff:run_tradeoff",
+        "repro.api.pipeline:Design.monte_carlo",
+        "repro.api.pipeline:Design.yield_analysis",
+        "repro.service.orchestrator:Orchestrator",
+    ],
+)
+def test_public_runners_default_to_the_auto_engine(target):
+    # Every public Monte-Carlo entry point picks the fastest tier the
+    # machine has unless told otherwise.
+    module_name, _, qualname = target.partition(":")
+    runner = importlib.import_module(module_name)
+    for attribute in qualname.split("."):
+        runner = getattr(runner, attribute)
+    assert inspect.signature(runner).parameters["engine"].default == "auto"
 
 
 # ----------------------------------------------------------------------

@@ -54,9 +54,7 @@ from repro.mapping.result import MappingResult
 from repro.mapping.validate import validate_assignment
 
 
-def reference_per_sample(
-    function, model, rows, columns, mappers, *, seed, start, stop, validate=True
-):
+def reference_per_sample(function, model, rows, columns, mappers, *, seed, start, stop):
     """The reference engine's loop, kept deliberately literal.
 
     Returns ``{name: [(success, backtracks, invalid), ...]}`` with one
@@ -79,7 +77,7 @@ def reference_per_sample(
             result = mapper.map(fm, crossbar)
             success = invalid = False
             if result.success:
-                if validate and not validate_assignment(fm, crossbar, result):
+                if not validate_assignment(fm, crossbar, result):
                     invalid = True
                 else:
                     success = True
@@ -226,7 +224,7 @@ class TestDifferentialRandomized:
 
         assert mapper_kind(Custom()) is None
 
-    def test_sub_batching_matches_single_pass(self):
+    def test_sub_batching_matches_single_pass(self, monkeypatch):
         function = get_benchmark("rd53")
         fm = FunctionMatrix(function)
         model = create_defect_model("uniform", rate=0.1)
@@ -235,9 +233,10 @@ class TestDifferentialRandomized:
         one = map_sample_batch(
             function, mappers, generate_batch(*shape, seed=29, start=0, stop=24)
         )
+        # One cell per sub-batch forces one-sample sub-batches.
+        monkeypatch.setattr(batch_kernel, "MAX_TENSOR_CELLS", 1)
         tiny = map_sample_batch(
-            function, mappers, generate_batch(*shape, seed=29, start=0, stop=24),
-            max_tensor_cells=1,  # forces one-sample sub-batches
+            function, mappers, generate_batch(*shape, seed=29, start=0, stop=24)
         )
         assert one.counting_statistics() == tiny.counting_statistics()
         for name in mappers:

@@ -200,13 +200,12 @@ class TestKernelOracle:
         for _ in range(60):
             compat, closed, num_minterms = random_instance(rng)
             success, backtracks, valid = kernels_py.map_builtin_batch(
-                compat, closed, num_minterms, mode, 1
+                compat, closed, num_minterms, mode
             )
             for s in range(compat.shape[0]):
                 usable = np.flatnonzero(closed[s] == 0)
                 ok, bt, good = _replica_hybrid(
-                    compat[s], usable, num_minterms,
-                    backtracking=backtracking, check_validity=True,
+                    compat[s], usable, num_minterms, backtracking=backtracking
                 )
                 assert bool(success[s]) == ok
                 assert int(backtracks[s]) == bt
@@ -218,7 +217,7 @@ class TestKernelOracle:
         for _ in range(60):
             compat, closed, num_minterms = random_instance(rng)
             success, backtracks, _ = kernels_py.map_builtin_batch(
-                compat, closed, compat.shape[1], kernels_py.MODE_EXACT, 0
+                compat, closed, compat.shape[1], kernels_py.MODE_EXACT
             )
             assert not backtracks.any()  # the exact mapper never backtracks
             for s in range(compat.shape[0]):
@@ -265,11 +264,10 @@ class TestLoadedBackend:
             compat, closed, num_minterms = random_instance(rng)
             for kind, mode in modes.items():
                 got = kernels.map_builtin_batch(
-                    compat, closed, num_minterms, kind=kind,
-                    check_validity=True,
+                    compat, closed, num_minterms, kind=kind
                 )
                 want = kernels_py.map_builtin_batch(
-                    compat, closed, num_minterms, mode, 1
+                    compat, closed, num_minterms, mode
                 )
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w), kind
@@ -279,13 +277,11 @@ class TestLoadedBackend:
         compat = np.ones((2, 3, 4), dtype=np.uint8)
         with pytest.raises(ValueError, match="closed mask"):
             kernels.map_builtin_batch(
-                compat, np.zeros((2, 5), dtype=np.uint8), 1, kind="exact",
-                check_validity=True,
+                compat, np.zeros((2, 5), dtype=np.uint8), 1, kind="exact"
             )
         with pytest.raises(ValueError, match="minterm"):
             kernels.map_builtin_batch(
-                compat, np.zeros((2, 4), dtype=np.uint8), 4, kind="hybrid",
-                check_validity=True,
+                compat, np.zeros((2, 4), dtype=np.uint8), 4, kind="hybrid"
             )
         with pytest.raises(ValueError, match="column count"):
             kernels.compatibility_tensor(
@@ -480,9 +476,9 @@ def assert_kernels_agree(compat, closed, num_minterms, kind):
     """C vs the Python oracle vs the NumPy replicas; returns the successes."""
     mode = {"exact": kernels_py.MODE_EXACT, "hybrid": kernels_py.MODE_HYBRID}[kind]
     got = compiled.get_kernels().map_builtin_batch(
-        compat, closed, num_minterms, kind=kind, check_validity=True
+        compat, closed, num_minterms, kind=kind
     )
-    want = kernels_py.map_builtin_batch(compat, closed, num_minterms, mode, 1)
+    want = kernels_py.map_builtin_batch(compat, closed, num_minterms, mode)
     for g, w in zip(got, want):
         assert np.array_equal(g, w), kind
     success, backtracks, valid = got
@@ -492,8 +488,7 @@ def assert_kernels_agree(compat, closed, num_minterms, kind):
             replica = _replica_exact(compat[s], usable)
         else:
             replica = _replica_hybrid(
-                compat[s], usable, num_minterms,
-                backtracking=True, check_validity=True,
+                compat[s], usable, num_minterms, backtracking=True
             )
         assert (bool(success[s]), int(backtracks[s])) == replica[:2]
         if success[s]:
@@ -529,7 +524,7 @@ class TestTableIIScaleKernels:
             compat[:, dead] = 0
             assert not assert_kernels_agree(compat, closed, num_minterms, kind).any()
             backtracks += int(compiled.get_kernels().map_builtin_batch(
-                compat, closed, num_minterms, kind=kind, check_validity=True
+                compat, closed, num_minterms, kind=kind
             )[1].sum())
         assert (backtracks > 0) == (kind == "hybrid")
 
