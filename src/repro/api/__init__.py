@@ -37,7 +37,6 @@ _EXPORTS = {
     # multi-level staging
     "MultiLevelMappingResult": "repro.multilevel",
     "MultiLevelStagePlan": "repro.multilevel",
-    "build_stage_plan": "repro.multilevel",
     "map_multilevel": "repro.multilevel",
     "normalize_multilevel_spec": "repro.multilevel",
     "stage_plan_for": "repro.multilevel",

@@ -33,6 +33,7 @@ from repro.boolean.expression import parse_sop
 from repro.boolean.function import BooleanFunction
 from repro.circuits.pla import parse_pla
 from repro.crossbar.metrics import DualSelection, choose_dual
+from repro.defects.batch import repair_spare_columns
 from repro.defects.defect_map import DefectMap
 from repro.defects.injection import inject_uniform
 from repro.defects.types import DefectProfile
@@ -51,6 +52,32 @@ from repro.api.results import (
     function_to_dict,
 )
 from repro.api.seeding import derive_seed
+
+#: Why a mapping failed when spare-column repair left too few columns.
+_REPAIR_FAILURE = (
+    "too few usable columns remain after steering around stuck-closed spares"
+)
+
+
+def _effective_map(
+    design: "Design", defect_map: DefectMap
+) -> tuple[DefectMap, bool]:
+    """The map a design's mapper sees, and whether it is mappable at all.
+
+    With spare columns, ``defect_map`` is steered onto the design's best
+    functional columns; when too few usable columns remain it comes back
+    unrepaired, with False.
+    """
+    if design.extra_columns == 0:
+        return defect_map, True
+    if design.is_staged:
+        required = design.stage_plan().num_columns
+    else:
+        required = design.function_matrix().num_columns
+    repaired = repair_spare_columns(defect_map, required)
+    if repaired is None:
+        return defect_map, False
+    return repaired, True
 
 
 class Design:
@@ -273,15 +300,9 @@ class Design:
         """Two-level minimisation of every output cover."""
         return self._evolve(self._function.minimized(), "minimize")
 
-    def choose_dual(
-        self, *, minimize_complement: bool = True, complement_budget: int = 50_000
-    ) -> "Design":
+    def choose_dual(self) -> "Design":
         """Map the cheaper of ``f`` and ``f̄`` (Algorithm 1, step 1)."""
-        selection = choose_dual(
-            self._function,
-            minimize_complement=minimize_complement,
-            complement_budget=complement_budget,
-        )
+        selection = choose_dual(self._function)
         tag = "choose_dual[dual]" if selection.used_complement else "choose_dual[f]"
         return self._evolve(
             selection.implementation, tag, dual_selection=selection
@@ -421,26 +442,17 @@ class Design:
         if self._staged:
             return self._map_staged(defect_map, mapper, algorithm_name)
 
-        matrix = self.function_matrix()
-        effective_map = defect_map
-        result: MappingResult | None = None
-        if self._extra_columns > 0:
-            from repro.experiments.monte_carlo import repair_spare_columns
-
-            repaired = repair_spare_columns(defect_map, matrix.num_columns)
-            if repaired is None:
-                result = MappingResult(
-                    success=False,
-                    algorithm=algorithm_name,
-                    failure_reason=(
-                        "too few usable columns remain after steering around "
-                        "stuck-closed spares"
-                    ),
-                )
-            else:
-                effective_map = repaired
-        if result is None:
-            result = mapper.map(matrix, CrossbarMatrix(effective_map))
+        effective_map, repaired = _effective_map(self, defect_map)
+        if repaired:
+            result = mapper.map(
+                self.function_matrix(), CrossbarMatrix(effective_map)
+            )
+        else:
+            result = MappingResult(
+                success=False,
+                algorithm=algorithm_name,
+                failure_reason=_REPAIR_FAILURE,
+            )
         if self._dual_selection is not None:
             result.used_complement = self._dual_selection.used_complement
 
@@ -465,29 +477,17 @@ class Design:
         from repro.multilevel import map_multilevel
         from repro.multilevel.mapping import MultiLevelMappingResult
 
-        plan = self.stage_plan()
-        effective_map = defect_map
-        result: MultiLevelMappingResult | None = None
-        if self._extra_columns > 0:
-            from repro.experiments.monte_carlo import repair_spare_columns
-
-            repaired = repair_spare_columns(defect_map, plan.num_columns)
-            if repaired is None:
-                result = MultiLevelMappingResult(
-                    success=False,
-                    failure_reason=(
-                        "too few usable columns remain after steering around "
-                        "stuck-closed spares"
-                    ),
-                )
-            else:
-                effective_map = repaired
-        if result is None:
+        effective_map, repaired = _effective_map(self, defect_map)
+        if repaired:
             result = map_multilevel(
-                plan,
+                self.stage_plan(),
                 mapper,
                 effective_map,
                 extra_rows=self._extra_rows,
+            )
+        else:
+            result = MultiLevelMappingResult(
+                success=False, failure_reason=_REPAIR_FAILURE
             )
         return MultiLevelMappedDesign(
             design=self._evolve(self._function, f"map[{algorithm_name}]"),
@@ -685,19 +685,10 @@ class MappedDesign:
             extra_columns=payload.get("extra_columns", 0),
         )
         defect_map = defect_map_from_dict(payload["defect_map"])
-        effective_map = defect_map
-        if design.extra_columns > 0:
-            from repro.experiments.monte_carlo import repair_spare_columns
-
-            repaired = repair_spare_columns(
-                defect_map, design.function_matrix().num_columns
-            )
-            if repaired is not None:
-                effective_map = repaired
         return cls(
             design=design,
             defect_map=defect_map,
-            effective_map=effective_map,
+            effective_map=_effective_map(design, defect_map)[0],
             result=MappingResult.from_dict(payload["result"]),
         )
 
@@ -764,19 +755,10 @@ class MultiLevelMappedDesign:
             staged=bool(payload.get("multilevel")),
         )
         defect_map = defect_map_from_dict(payload["defect_map"])
-        effective_map = defect_map
-        if design.extra_columns > 0 and design.is_staged:
-            from repro.experiments.monte_carlo import repair_spare_columns
-
-            repaired = repair_spare_columns(
-                defect_map, design.stage_plan().num_columns
-            )
-            if repaired is not None:
-                effective_map = repaired
         return cls(
             design=design,
             defect_map=defect_map,
-            effective_map=effective_map,
+            effective_map=_effective_map(design, defect_map)[0],
             result=MultiLevelMappingResult.from_dict(payload["result"]),
             algorithm=payload.get("algorithm", "hybrid"),
         )

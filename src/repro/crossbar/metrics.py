@@ -15,6 +15,10 @@ from repro.boolean.complement import ComplementOverflowError
 from repro.boolean.function import BooleanFunction
 from repro.crossbar.two_level import two_level_area_cost
 
+#: Cube budget for computing the complement; beyond it the original
+#: function is kept.
+COMPLEMENT_BUDGET = 50_000
+
 
 @dataclass(frozen=True)
 class DualSelection:
@@ -55,26 +59,20 @@ def two_level_area_of(function: BooleanFunction, *, extra_rows: int = 0) -> int:
     )
 
 
-def choose_dual(
-    function: BooleanFunction,
-    *,
-    minimize_complement: bool = True,
-    complement_budget: int = 50_000,
-) -> DualSelection:
+def choose_dual(function: BooleanFunction) -> DualSelection:
     """Pick the cheaper of a function and its complement for mapping.
 
-    The complement is minimised before comparison when
-    ``minimize_complement`` is set (the paper compares synthesised
-    covers, not raw complements).  When the complement cannot be computed
-    within the cube budget the original function is kept.
+    The complement is minimised before comparison (the paper compares
+    synthesised covers, not raw complements).  When the complement
+    cannot be computed within :data:`COMPLEMENT_BUDGET` cubes the
+    original function is kept.
     """
     original_area = two_level_area_of(function)
     try:
-        complement = function.complement(max_cubes=complement_budget)
+        complement = function.complement(max_cubes=COMPLEMENT_BUDGET)
     except ComplementOverflowError:
         return DualSelection(function, False, original_area, None)
-    if minimize_complement:
-        complement = complement.minimized()
+    complement = complement.minimized()
     complement_area = two_level_area_of(complement)
     if complement_area < original_area:
         return DualSelection(complement, True, original_area, complement_area)

@@ -10,7 +10,6 @@ from repro.defects.analysis import (
 from repro.defects.batch import DefectBatch, repair_spare_columns
 from repro.defects.defect_map import DefectMap
 from repro.defects.injection import (
-    defect_maps_for_monte_carlo,
     inject_clustered,
     inject_exact_count,
     inject_line_defects,
@@ -30,7 +29,6 @@ __all__ = [
     "inject_exact_count",
     "inject_clustered",
     "inject_line_defects",
-    "defect_maps_for_monte_carlo",
     "CapacityReport",
     "capacity_report",
     "naive_mapping_survives",

@@ -17,9 +17,8 @@ count and any chunking.  By default each sample is injected with that
 very call.  Given loaded compiled ``kernels``, the built-in ``uniform``
 model (the paper's §V protocol) instead draws the whole chunk's tensors
 in one native call that replays ``random.Random``'s stream
-(:func:`~repro.defects.injection.inject_uniform_batch`), and the
-per-sample :class:`DefectMap` objects are injected only when something
-reads :attr:`DefectBatch.maps`.
+(:func:`~repro.defects.injection.inject_uniform_batch`).  A batch keeps
+the tensors only, never the per-sample :class:`DefectMap` objects.
 
 The Monte-Carlo runner draws one batch per chunk and maps it bank by
 bank: :meth:`DefectBatch.restricted_to_rows` is the batched
@@ -30,7 +29,6 @@ multi-level one).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,30 +60,6 @@ def repair_spare_columns(
     return defect_map.restricted_to_columns(kept)
 
 
-#: A lazily built map not read yet (``None`` is a real entry: a sample
-#: dropped by spare-column repair).
-_UNREAD = object()
-
-
-class _LazyMaps(Sequence):
-    """Per-sample defect maps, each built by ``build(offset)`` on first read."""
-
-    def __init__(self, count: int, build: Callable[[int], DefectMap | None]):
-        self._build = build
-        self._maps: list = [_UNREAD] * count
-
-    def __len__(self) -> int:
-        return len(self._maps)
-
-    def __getitem__(self, offset):
-        if isinstance(offset, slice):
-            return [self[index] for index in range(len(self))[offset]]
-        defect_map = self._maps[offset]
-        if defect_map is _UNREAD:
-            defect_map = self._maps[offset] = self._build(offset)
-        return defect_map
-
-
 @dataclass
 class DefectBatch:
     """A chunk of defective crossbars in tensor form.
@@ -96,12 +70,6 @@ class DefectBatch:
         Global sample-index range of the chunk (``stop - start`` samples).
     rows / columns:
         Crossbar dimensions *after* any spare-column repair.
-    maps:
-        The per-sample :class:`DefectMap` objects (post-repair), kept for
-        the object-path fallback; ``None`` where spare-column repair
-        dropped the sample (too few usable columns — an automatic
-        failure for every mapper, before any mapping is attempted).
-        A natively drawn batch injects each map on first read.
     functional:
         ``(samples, rows, columns)`` uint8 — 1 where the crosspoint is
         functional.  Rows of dropped samples are left all-ones; they are
@@ -109,14 +77,15 @@ class DefectBatch:
     closed_rows / closed_columns:
         Boolean masks of lines poisoned by stuck-closed defects.
     dropped:
-        ``(samples,)`` bool — samples discarded by spare-column repair.
+        ``(samples,)`` bool — samples discarded by spare-column repair
+        (too few usable columns — an automatic failure for every mapper,
+        before any mapping is attempted).
     """
 
     start: int
     stop: int
     rows: int
     columns: int
-    maps: Sequence[DefectMap | None]
     functional: np.ndarray
     closed_rows: np.ndarray
     closed_columns: np.ndarray
@@ -164,12 +133,7 @@ class DefectBatch:
             functional, closed_rows, closed_columns = inject_uniform_batch(
                 rows, columns, profile, seeds, kernels=kernels
             )
-            maps = _LazyMaps(
-                count,
-                lambda offset: model.inject(rows, columns, seed=seeds[offset]),
-            )
         else:
-            maps = []
             functional = np.ones((count, rows, width), dtype=np.uint8)
             closed_rows = np.zeros((count, rows), dtype=bool)
             closed_columns = np.zeros((count, width), dtype=bool)
@@ -178,10 +142,8 @@ class DefectBatch:
                 if spare_columns:
                     defect_map = repair_spare_columns(defect_map, required_columns)
                     if defect_map is None:
-                        maps.append(None)
                         dropped[offset] = True
                         continue
-                maps.append(defect_map)
                 grid, c_rows, c_columns = defect_map.to_arrays()
                 functional[offset] = grid
                 closed_rows[offset] = c_rows
@@ -191,7 +153,6 @@ class DefectBatch:
             stop=stop,
             rows=rows,
             columns=width,
-            maps=maps,
             functional=functional,
             closed_rows=closed_rows,
             closed_columns=closed_columns,
@@ -202,9 +163,8 @@ class DefectBatch:
         """Every sample's contiguous physical row bank ``[start, stop)``.
 
         The batched :meth:`DefectMap.restricted_to_rows`: the tensors are
-        views of this batch's rows, the column masks and drops are this
-        batch's own, and a sample's map is restricted only when something
-        reads it.  A bank spanning every row is this batch itself.
+        views of this batch's rows, and the column masks and drops are
+        this batch's own.  A bank spanning every row is this batch itself.
         """
         if (start, stop) == (0, self.rows):
             return self
@@ -212,17 +172,9 @@ class DefectBatch:
             raise DefectError(
                 f"row bank [{start}, {stop}) outside a batch of {self.rows} rows"
             )
-
-        def bank_map(offset: int) -> DefectMap | None:
-            defect_map = self.maps[offset]
-            if defect_map is None:
-                return None
-            return defect_map.restricted_to_rows(start, stop)
-
         return replace(
             self,
             rows=stop - start,
-            maps=_LazyMaps(len(self), bank_map),
             functional=self.functional[:, start:stop],
             closed_rows=self.closed_rows[:, start:stop],
         )

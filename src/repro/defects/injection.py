@@ -243,24 +243,3 @@ def inject_line_defects(
         for row in range(rows):
             defects.append(Defect(row, column, kind))
     return DefectMap(rows, columns, {(d.row, d.column): d.kind for d in defects})
-
-
-def defect_maps_for_monte_carlo(
-    rows: int,
-    columns: int,
-    profile: DefectProfile | float,
-    sample_size: int,
-    *,
-    seed: int = 0,
-) -> list[DefectMap]:
-    """A reproducible batch of defect maps for a Monte-Carlo experiment.
-
-    Per-sample seeds come from the hash-based stream of
-    :func:`repro.api.seeding.derive_seed`, so distinct ``(seed, index)``
-    pairs can never alias (the old affine ``seed * K + index`` scheme
-    collided whenever two pairs hit the same lattice point).
-    """
-    return [
-        inject_uniform(rows, columns, profile, seed=derive_seed(seed, index))
-        for index in range(sample_size)
-    ]

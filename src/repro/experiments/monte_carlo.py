@@ -29,26 +29,29 @@ otherwise):
   :mod:`repro.mapping.batch_kernel`: one defect tensor per chunk, a
   structural screen that rejects the samples no mapper can map, one
   broadcasted compatibility pass over the rest and NumPy replicas that
-  map every one of them; third-party mappers transparently fall back to
-  the object path.
+  map every one of them.
 * ``"compiled"`` — the same pipeline with native defect draws, tensor
   and mapper replicas from :mod:`repro.compiled`.
 * ``"reference"`` — the original object-per-sample loop, kept as the
   ground truth the batched engines are differentially tested against.
 
-All engines consume identical per-sample seed streams and produce
-identical counting statistics; only wall-clock fields differ.
+The batched engines replicate the built-in mappers only.  Any other
+mapper — anything registered by third parties — runs on the reference
+walk whatever the engine, so every engine is safe for every mapper in
+the registry.  All engines consume identical per-sample seed streams
+and produce identical counting statistics; only wall-clock fields
+differ.
 
 Row banks
 ---------
 Every sample is mapped onto a list of row banks.  A two-level design is
 the one-bank case, the whole array; a multi-level design
 (``multilevel=``, paper §VI) has one bank per stage of its stage plan,
-all sharing the columns.  The reference engine walks the banks of each
-sample in order and stops at the first one that fails; the batched
-engines draw one :class:`~repro.defects.batch.DefectBatch` per chunk,
-map each bank in one call and replay the same early stop over the
-per-bank arrays.
+all sharing the columns.  The reference walk maps the banks of each
+sample with :func:`~repro.mapping.validate.map_banks`, which stops at
+the first one that fails; the batched engines draw one
+:class:`~repro.defects.batch.DefectBatch` per chunk, map each bank in
+one call and replay the same early stop over the per-bank arrays.
 
 Algorithms are resolved by name through :mod:`repro.api.registry`;
 register new mappers with :func:`repro.api.register_mapper` and they are
@@ -81,10 +84,11 @@ from repro.mapping.batch_kernel import (
     MapperBatchOutcome,
     load_scipy_matching,
     map_sample_batch,
+    mapper_kind,
 )
 from repro.mapping.crossbar_matrix import CrossbarMatrix
 from repro.mapping.function_matrix import FunctionMatrix
-from repro.mapping.validate import validate_assignment
+from repro.mapping.validate import map_banks
 
 #: Concrete engines a Monte-Carlo chunk can run on (``"auto"`` has
 #: already been resolved by the time a chunk task is built; see
@@ -399,7 +403,10 @@ def _run_chunk(task: _ChunkTask) -> dict[str, AlgorithmOutcome]:
     two-level design is one bank spanning the whole array, a multi-level
     design one bank per stage of its stage plan (rebuilt here —
     technology mapping is deterministic, so every worker stages
-    identically).
+    identically).  On a batched engine the built-in mappers run on the
+    batch kernel; every other mapper, and every mapper on the reference
+    engine, runs on the reference walk.  Outcomes come back in
+    ``task.mappers`` order.
     """
     if task.multilevel is None:
         banks = [(FunctionMatrix(task.function), 0, task.rows)]
@@ -412,22 +419,33 @@ def _run_chunk(task: _ChunkTask) -> dict[str, AlgorithmOutcome]:
             (stage.matrix, lo, hi)
             for stage, (lo, hi) in zip(plan.stages, bounds)
         ]
-    if task.engine in _BATCHED_ENGINES:
-        return _run_batched(task, banks)
-    return _run_reference(task, banks)
+    batched = {
+        name: mapper
+        for name, mapper in task.mappers.items()
+        if task.engine in _BATCHED_ENGINES and mapper_kind(mapper) is not None
+    }
+    walked = {n: m for n, m in task.mappers.items() if n not in batched}
+    outcomes = {}
+    if batched:
+        outcomes.update(_run_batched(task, banks, batched))
+    if walked:
+        outcomes.update(_run_reference(task, banks, walked))
+    return {name: outcomes[name] for name in task.mappers}
 
 
 def _run_reference(
-    task: _ChunkTask, banks: list[tuple[FunctionMatrix, int, int]]
+    task: _ChunkTask,
+    banks: list[tuple[FunctionMatrix, int, int]],
+    mappers: dict[str, Mapper],
 ) -> dict[str, AlgorithmOutcome]:
     """The object-per-sample walk, the ground truth of the batched path.
 
-    Each sample is injected and spare-column repaired once; then every
-    mapper walks the banks in order and stops at the first one that
-    fails to map or fails validation, counting backtracks up to and
-    including that bank.  A sample succeeds when every bank maps.
+    Each sample is injected, spare-column repaired and cut into its
+    banks' crossbars once; then every mapper walks the banks with
+    :func:`~repro.mapping.validate.map_banks`, counting backtracks on
+    every bank it reached.  A sample succeeds when every bank maps.
     """
-    outcomes = {name: AlgorithmOutcome(algorithm=name) for name in task.mappers}
+    outcomes = {name: AlgorithmOutcome(algorithm=name) for name in mappers}
     spare_columns = task.columns > task.required_columns
     for sample in range(task.start, task.stop):
         defect_map = task.model.inject(
@@ -439,37 +457,35 @@ def _run_reference(
                 for outcome in outcomes.values():
                     outcome.samples += 1
                 continue
-        crossbars = [
-            CrossbarMatrix(defect_map.restricted_to_rows(lo, hi))
-            for _, lo, hi in banks
+        pairs = [
+            (matrix, CrossbarMatrix(defect_map.restricted_to_rows(lo, hi)))
+            for matrix, lo, hi in banks
         ]
-        for name, mapper in task.mappers.items():
+        for name, mapper in mappers.items():
             outcome = outcomes[name]
             outcome.samples += 1
-            for (matrix, _, _), crossbar in zip(banks, crossbars):
-                mapping = mapper.map(matrix, crossbar)
-                outcome.total_runtime += mapping.runtime_seconds
-                outcome.total_backtracks += mapping.statistics.backtracks
-                if not mapping.success:
-                    break
-                if not validate_assignment(matrix, crossbar, mapping):
-                    outcome.invalid_mappings += 1
-                    break
-            else:
-                outcome.successes += 1
+            attempts = map_banks(mapper, pairs)
+            for result, valid in attempts:
+                outcome.total_runtime += result.runtime_seconds
+                outcome.total_backtracks += result.statistics.backtracks
+                outcome.invalid_mappings += not valid
+            result, valid = attempts[-1]
+            outcome.successes += result.success and valid
     return outcomes
 
 
 def _run_batched(
-    task: _ChunkTask, banks: list[tuple[FunctionMatrix, int, int]]
+    task: _ChunkTask,
+    banks: list[tuple[FunctionMatrix, int, int]],
+    mappers: dict[str, Mapper],
 ) -> dict[str, AlgorithmOutcome]:
     """The batched path: one defect batch per chunk, one kernel pass per bank.
 
-    The per-bank arrays are folded into the reference walk's
-    :class:`AlgorithmOutcome` partials; the shared stages (defect
-    generation, and each bank's screen and compatibility pass) are split
-    evenly over the mappers so runtime totals stay meaningful for
-    throughput reports.
+    ``mappers`` are built-in ones.  The per-bank arrays are folded into
+    the reference walk's :class:`AlgorithmOutcome` partials; the shared
+    stages (defect generation, and each bank's screen and compatibility
+    pass) are split evenly over these mappers so runtime totals stay
+    meaningful for throughput reports.
     """
     kernels = get_kernels() if task.engine == "compiled" else None
     shared_start = time.perf_counter()
@@ -488,16 +504,16 @@ def _run_batched(
     for matrix, lo, hi in banks:
         result = map_sample_batch(
             matrix,
-            task.mappers,
+            mappers,
             batch.restricted_to_rows(lo, hi),
             engine=task.engine,
         )
         shared_seconds += result.shared_seconds
         stages.append(result.outcomes)
-    shared_share = shared_seconds / max(1, len(task.mappers))
+    shared_share = shared_seconds / len(mappers)
     return {
         name: _fold_stages(name, [stage[name] for stage in stages], shared_share)
-        for name in task.mappers
+        for name in mappers
     }
 
 

@@ -30,9 +30,9 @@ algorithms (first-fit with the paper's one-step backtracking, including
 its exact backtrack-counting semantics, plus the zero-cost assignment
 step) operating on the shared compatibility tensor, or by their native
 counterparts in :mod:`repro.compiled` under ``engine="compiled"``.
-Mappers that are not recognised built-ins — anything registered by
-third parties — transparently fall back to the per-sample object path,
-so the engine is safe for *every* mapper in the registry.
+Only recognised built-ins (:func:`mapper_kind`) are accepted; the
+Monte-Carlo runner maps any other mapper — anything registered by third
+parties — on its reference walk.
 """
 
 from __future__ import annotations
@@ -46,19 +46,16 @@ import numpy as np
 from repro.boolean.function import BooleanFunction
 from repro.defects.batch import DefectBatch
 from repro.exceptions import MappingError
-from repro.mapping.crossbar_matrix import CrossbarMatrix
 from repro.mapping.exact import ExactMapper
 from repro.mapping.function_matrix import FunctionMatrix
 from repro.mapping.hybrid import GreedyMapper, HybridMapper
 from repro.mapping.matching import compatibility_tensor
 from repro.mapping.munkres import zero_cost_assignment
-from repro.mapping.validate import validate_assignment
 
 #: Decision codes recorded per (mapper, sample) — how the engine settled it.
 DECISION_REPAIR_DROP = -2  #: spare-column repair left too few columns
 DECISION_REJECT = -1  #: structural screen proved failure
 DECISION_KERNEL = 2  #: NumPy replica of the built-in algorithm ran
-DECISION_OBJECT = 3  #: per-sample object-path fallback (opaque mapper)
 DECISION_COMPILED = 4  #: native replica batch (``engine="compiled"``)
 
 #: Engines this module can run a batch on.
@@ -73,7 +70,8 @@ def mapper_kind(mapper) -> str | None:
     """Classify a mapper: the built-in kind a kernel replicates, or ``None``.
 
     Only *exact* types are recognised — a subclass may override anything,
-    so it is treated as opaque and runs on the object path.
+    so it is treated as opaque and runs on the Monte-Carlo runner's
+    reference walk.
     """
     if type(mapper) is ExactMapper:
         return "exact"
@@ -158,7 +156,9 @@ def map_sample_batch(
         re-synthesis).
     mappers:
         ``{label: mapper instance}`` as produced by
-        :func:`repro.api.registry.resolve_mappers`.
+        :func:`repro.api.registry.resolve_mappers`; every one must be a
+        built-in (:func:`mapper_kind`), or :class:`MappingError` names
+        the others.
     batch:
         The chunk's defects as a :class:`~repro.defects.batch.DefectBatch`
         over the global sample range ``[batch.start, batch.stop)``, with
@@ -177,6 +177,14 @@ def map_sample_batch(
         raise MappingError(
             f"unknown batch engine {engine!r}; expected one of "
             f"{list(BATCH_ENGINES)}"
+        )
+    kinds = {name: mapper_kind(mapper) for name, mapper in mappers.items()}
+    opaque = [name for name, kind in kinds.items() if kind is None]
+    if opaque:
+        raise MappingError(
+            "the batch kernel replicates only the built-in mappers, so it "
+            f"cannot map {', '.join(map(repr, opaque))}; "
+            "run_mapping_monte_carlo maps those on its reference walk"
         )
 
     fm = function if isinstance(function, FunctionMatrix) else FunctionMatrix(function)
@@ -200,9 +208,6 @@ def map_sample_batch(
         )
         for name in mappers
     }
-    for outcome in outcomes.values():
-        outcome.decision[batch.dropped] = DECISION_REPAIR_DROP
-
     # Structural screen — the vectorized quick_infeasibility_check.  The
     # built-in mappers return an uncounted failure in exactly these
     # cases, so deciding them here is statistics-neutral, and the
@@ -213,28 +218,20 @@ def map_sample_batch(
     else:
         feasible &= batch.columns_usable(fm.num_columns)
         feasible &= batch.usable_row_counts() >= fm.num_rows
-
-    kinds = {name: mapper_kind(mapper) for name, mapper in mappers.items()}
-    builtin = {name: kind for name, kind in kinds.items() if kind is not None}
-    opaque = {name: mappers[name] for name, kind in kinds.items() if kind is None}
+    rejected = ~batch.dropped & ~feasible
+    for outcome in outcomes.values():
+        outcome.decision[batch.dropped] = DECISION_REPAIR_DROP
+        outcome.decision[rejected] = DECISION_REJECT
 
     shared_seconds = time.perf_counter() - shared_start
-
-    if builtin:
-        rejected = np.flatnonzero(~batch.dropped & ~feasible)
-        for name in builtin:
-            outcomes[name].decision[rejected] = DECISION_REJECT
-        shared_seconds += _run_builtin_mappers(
-            fm,
-            batch,
-            builtin,
-            outcomes,
-            np.flatnonzero(feasible),
-            kernels=kernels,
-        )
-    if opaque:
-        active = np.flatnonzero(~batch.dropped)
-        _run_object_fallback(fm, batch, opaque, outcomes, active)
+    shared_seconds += _run_builtin_mappers(
+        fm,
+        batch,
+        kinds,
+        outcomes,
+        np.flatnonzero(feasible),
+        kernels=kernels,
+    )
 
     return BatchMapResult(
         start=batch.start,
@@ -457,30 +454,3 @@ def _first_free(free: np.ndarray, compatible: np.ndarray) -> int:
     candidates = free & compatible
     index = int(np.argmax(candidates))
     return index if candidates[index] else -1
-
-
-# ----------------------------------------------------------------------
-# Opaque mappers: per-sample object path, byte-for-byte the reference
-# engine's loop, so third-party mappers keep their exact semantics.
-# ----------------------------------------------------------------------
-def _run_object_fallback(
-    fm: FunctionMatrix,
-    batch: DefectBatch,
-    mappers: dict,
-    outcomes: dict,
-    active: np.ndarray,
-) -> None:
-    for offset in active:
-        defect_map = batch.maps[int(offset)]
-        crossbar_matrix = CrossbarMatrix(defect_map)
-        for name, mapper in mappers.items():
-            outcome = outcomes[name]
-            mapping = mapper.map(fm, crossbar_matrix)
-            outcome.runtime[offset] += mapping.runtime_seconds
-            outcome.backtracks[offset] = mapping.statistics.backtracks
-            outcome.decision[offset] = DECISION_OBJECT
-            if mapping.success:
-                if not validate_assignment(fm, crossbar_matrix, mapping):
-                    outcome.invalid[offset] = True
-                else:
-                    outcome.success[offset] = True

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.exceptions import MappingError
 
-#: Problem size above which the "auto" backend switches to SciPy.
+#: Smaller-side size above which a solve goes to SciPy when it imports.
 AUTO_SCIPY_THRESHOLD = 96
 
 
@@ -105,32 +105,22 @@ def _hungarian_potentials(cost: np.ndarray) -> list[int]:
 
 def solve_assignment(
     cost_matrix: Sequence[Sequence[float]] | np.ndarray,
-    *,
-    backend: str = "auto",
 ) -> AssignmentResult:
     """Solve the rectangular assignment problem, minimising total cost.
 
-    Parameters
-    ----------
-    cost_matrix:
-        Arbitrary (finite) costs; with ``r`` rows and ``c`` columns,
-        ``min(r, c)`` pairs are assigned.
-    backend:
-        ``"python"`` forces the from-scratch Hungarian implementation,
-        ``"scipy"`` uses :func:`scipy.optimize.linear_sum_assignment`, and
-        ``"auto"`` (default) picks SciPy only for large instances.
+    ``cost_matrix`` holds arbitrary (finite) costs; with ``r`` rows and
+    ``c`` columns, ``min(r, c)`` pairs are assigned.  Instances whose
+    smaller side exceeds :data:`AUTO_SCIPY_THRESHOLD` go to
+    :func:`scipy.optimize.linear_sum_assignment` when SciPy imports; all
+    others use the from-scratch Hungarian implementation.
     """
     cost = np.asarray(cost_matrix, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise MappingError("cost matrix must be a non-empty 2-D array")
     if not np.isfinite(cost).all():
         raise MappingError("cost matrix entries must be finite")
-    if backend not in ("auto", "python", "scipy"):
-        raise MappingError(f"unknown assignment backend {backend!r}")
 
-    use_scipy = backend == "scipy" or (
-        backend == "auto" and min(cost.shape) > AUTO_SCIPY_THRESHOLD
-    )
+    use_scipy = min(cost.shape) > AUTO_SCIPY_THRESHOLD
     if use_scipy:
         try:
             from scipy.optimize import linear_sum_assignment
@@ -162,8 +152,6 @@ def solve_assignment(
 
 def zero_cost_assignment(
     cost_matrix: Sequence[Sequence[float]] | np.ndarray,
-    *,
-    backend: str = "auto",
 ) -> dict[int, int] | None:
     """Assign every *column* to a distinct row at zero cost, if possible.
 
@@ -178,7 +166,7 @@ def zero_cost_assignment(
     num_rows, num_columns = cost.shape
     if num_columns > num_rows:
         return None
-    result = solve_assignment(cost, backend=backend)
+    result = solve_assignment(cost)
     if result.total_cost != 0:
         return None
     assignment = result.row_of_column()

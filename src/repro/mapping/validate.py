@@ -11,9 +11,15 @@ Two independent checks are provided:
   that the mapped crossbar still computes the original Boolean function.
   This is stronger than anything in the paper and guards the whole
   pipeline (function → design → mapping → physical array → simulation).
+
+:func:`map_banks` is the one walk over a sample's row banks: it maps
+each bank in turn and checks every success with
+:func:`validate_assignment`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from repro.boolean.function import BooleanFunction
 from repro.boolean.truth_table import (
@@ -60,6 +66,30 @@ def validate_assignment(
         ):
             return False
     return True
+
+
+def map_banks(
+    mapper, banks: Iterable[tuple[FunctionMatrix, CrossbarMatrix]]
+) -> list[tuple[MappingResult, bool]]:
+    """Map one sample's row banks in order, up to the first that fails.
+
+    ``banks`` yields ``(function_matrix, crossbar_matrix)`` pairs: one
+    for a two-level design, one per stage for a multi-level one.  Each
+    success is checked with :func:`validate_assignment`, and the walk
+    stops after the first bank that fails to map or fails the check.
+    Returns ``(result, valid)`` for every bank attempted; ``valid`` is
+    False only for a success the check rejected.
+    """
+    attempts = []
+    for function_matrix, crossbar_matrix in banks:
+        result = mapper.map(function_matrix, crossbar_matrix)
+        valid = not result.success or validate_assignment(
+            function_matrix, crossbar_matrix, result
+        )
+        attempts.append((result, valid))
+        if not (result.success and valid):
+            break
+    return attempts
 
 
 def validate_functionally(

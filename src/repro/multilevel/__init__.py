@@ -22,7 +22,6 @@ from repro.multilevel.staging import (
     MultiLevelStagePlan,
     Stage,
     StageMatrix,
-    build_stage_plan,
     normalize_multilevel_spec,
     stage_plan_for,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "Stage",
     "StageMappingOutcome",
     "StageMatrix",
-    "build_stage_plan",
     "map_multilevel",
     "normalize_multilevel_spec",
     "stage_plan_for",

@@ -4,10 +4,11 @@ One multi-level sample is mapped stage by stage in evaluation order:
 every stage's requirement rows are placed onto its physical row bank by
 an unmodified two-level mapper, and the network survives iff **every**
 stage maps (and validates).  The walk stops at the first non-surviving
-stage — the same walk the Monte-Carlo chunk runner of
-:mod:`repro.experiments.monte_carlo` makes over a sample's row banks,
-and replays over the batched engines' per-bank arrays, so backtrack
-counts agree sample for sample between the engines.
+stage.  It is :func:`~repro.mapping.validate.map_banks`, the walk the
+Monte-Carlo chunk runner of :mod:`repro.experiments.monte_carlo` makes
+over a sample's row banks and replays over the batched engines'
+per-bank arrays, so backtrack counts agree sample for sample between
+the engines.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.defects.defect_map import DefectMap
 from repro.exceptions import MappingError
 from repro.mapping.crossbar_matrix import CrossbarMatrix
 from repro.mapping.result import MappingResult
-from repro.mapping.validate import validate_assignment
+from repro.mapping.validate import map_banks
 from repro.multilevel.staging import MultiLevelStagePlan
 
 
@@ -154,29 +155,30 @@ def map_multilevel(
             f"banks with {extra_rows} spare rows each need {expected_rows}"
         )
 
-    outcome = MultiLevelMappingResult(success=True)
-    for stage, (lo, hi) in zip(plan.stages, plan.bank_bounds(extra_rows)):
-        crossbar = CrossbarMatrix(defect_map.restricted_to_rows(lo, hi))
-        result = mapper.map(stage.matrix, crossbar)
-        valid = not result.success or validate_assignment(
-            stage.matrix, crossbar, result
+    bounds = plan.bank_bounds(extra_rows)
+    attempts = map_banks(
+        mapper,
+        (
+            (stage.matrix, CrossbarMatrix(defect_map.restricted_to_rows(lo, hi)))
+            for stage, (lo, hi) in zip(plan.stages, bounds)
+        ),
+    )
+    stages = [
+        StageMappingOutcome(
+            stage_label=stage.label, bank=bank, result=result, valid=valid
         )
-        outcome.stages.append(
-            StageMappingOutcome(
-                stage_label=stage.label,
-                bank=(lo, hi),
-                result=result,
-                valid=valid,
-            )
-        )
-        if not result.success:
-            outcome.success = False
-            outcome.failure_stage = stage.label
-            outcome.failure_reason = result.failure_reason
-            break
-        if not valid:
-            outcome.success = False
-            outcome.failure_stage = stage.label
-            outcome.failure_reason = "mapping failed matrix-level validation"
-            break
-    return outcome
+        for stage, bank, (result, valid) in zip(plan.stages, bounds, attempts)
+    ]
+    last = stages[-1]
+    if last.survived:
+        return MultiLevelMappingResult(success=True, stages=stages)
+    return MultiLevelMappingResult(
+        success=False,
+        stages=stages,
+        failure_stage=last.stage_label,
+        failure_reason=(
+            last.result.failure_reason
+            if not last.result.success
+            else "mapping failed matrix-level validation"
+        ),
+    )

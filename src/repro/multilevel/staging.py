@@ -260,11 +260,6 @@ class MultiLevelStagePlan:
         return f"MultiLevelStagePlan({self.describe()})"
 
 
-def build_stage_plan(design: MultiLevelDesign) -> MultiLevelStagePlan:
-    """Stage an existing multi-level design."""
-    return MultiLevelStagePlan(design)
-
-
 def stage_plan_for(function: BooleanFunction, spec=None) -> MultiLevelStagePlan:
     """Technology-map a function and stage the resulting design.
 

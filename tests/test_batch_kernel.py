@@ -35,7 +35,6 @@ from repro.experiments.monte_carlo import run_mapping_monte_carlo
 from repro.mapping import batch_kernel
 from repro.mapping.batch_kernel import (
     DECISION_KERNEL,
-    DECISION_OBJECT,
     DECISION_REJECT,
     DECISION_REPAIR_DROP,
     map_sample_batch,
@@ -278,40 +277,70 @@ class _CountingMapper:
         )
 
 
+class _DelegatingMapper:
+    """Opaque mapper that hands every call to HBA.
+
+    :func:`mapper_kind` does not recognise it, so it runs on the
+    reference walk on every engine, and its counts must equal the
+    built-in HBA's.
+    """
+
+    algorithm_name = "delegating"
+
+    def __init__(self):
+        self._inner = HybridMapper()
+
+    def map(self, function_matrix, crossbar) -> MappingResult:
+        return self._inner.map(function_matrix, crossbar)
+
+
 class TestOpaqueMapperFallback:
     def test_opaque_mapper_runs_object_path(self):
+        """The batch kernel names and refuses a mapper it cannot replicate."""
         function = get_benchmark("rd53")
         fm = FunctionMatrix(function)
         model = create_defect_model("uniform", rate=0.04)
-        mappers = {"counting": _CountingMapper(), "hybrid": HybridMapper()}
-        batch = map_sample_batch(
-            function, mappers,
-            generate_batch(
-                function, model, fm.num_rows, fm.num_columns,
-                seed=7, start=0, stop=15,
-            ),
-        )
-        reference = reference_per_sample(
-            function, model, fm.num_rows, fm.num_columns, mappers,
+        batch = generate_batch(
+            function, model, fm.num_rows, fm.num_columns,
             seed=7, start=0, stop=15,
         )
-        assert_batch_matches_reference(batch, reference)
-        decisions = batch.outcomes["counting"].decision
-        assert set(decisions.tolist()) <= {DECISION_OBJECT, DECISION_REPAIR_DROP}
+        mappers = {"counting": _CountingMapper(), "hybrid": HybridMapper()}
+        with pytest.raises(MappingError, match="'counting'"):
+            map_sample_batch(function, mappers, batch)
 
-    def test_engine_equality_with_registered_custom_mapper(self):
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            {"stuck_open_fraction": 0.9},
+            {"stuck_open_fraction": 0.9, "extra_rows": 2, "extra_columns": 2},
+            {"multilevel": {"strategy": "best"}},
+        ],
+        ids=["two-level", "spare-columns", "multi-level"],
+    )
+    @pytest.mark.parametrize("engine", ["vectorized", "compiled"])
+    def test_engine_equality_with_registered_custom_mapper(self, engine, layout):
         function = get_benchmark("rd53")
-        algorithms = {"counting": _CountingMapper(), "exact": ExactMapper()}
+        # Opaque and built-in mappers interleaved, to check the order.
+        algorithms = {
+            "delegating": _DelegatingMapper(),
+            "exact": ExactMapper(),
+            "counting": _CountingMapper(),
+            "hybrid": HybridMapper(),
+        }
         kwargs = dict(
-            defect_rate=0.05, sample_size=12, seed=13, algorithms=algorithms,
-            workers=1,
+            defect_rate=0.02, sample_size=32, seed=13, algorithms=algorithms,
+            workers=1, **layout,
         )
         ref = run_mapping_monte_carlo(function, engine="reference", **kwargs)
-        vec = run_mapping_monte_carlo(function, engine="vectorized", **kwargs)
-        for name in algorithms:
-            r, v = ref.outcome(name), vec.outcome(name)
-            assert (r.successes, r.samples, r.total_backtracks, r.invalid_mappings) \
-                == (v.successes, v.samples, v.total_backtracks, v.invalid_mappings)
+        batched = run_mapping_monte_carlo(function, engine=engine, **kwargs)
+        assert batched.counting_statistics() == ref.counting_statistics()
+        assert list(batched.outcomes) == list(algorithms)
+        delegated = batched.outcome("delegating")
+        assert 0 < delegated.successes < delegated.samples
+        assert (
+            batched.counting_statistics()["delegating"]
+            == batched.counting_statistics()["hybrid"]
+        )
 
 
 class TestPrescreenProperties:
@@ -522,7 +551,6 @@ class TestDefectBatch:
             if repaired is None:
                 dropped += 1
                 assert batch.dropped[offset]
-                assert batch.maps[offset] is None
             else:
                 kept += 1
                 assert not batch.dropped[offset]
@@ -533,7 +561,7 @@ class TestDefectBatch:
         assert kept > 0 and dropped > 0
 
     @pytest.mark.parametrize("native", [False, True])
-    def test_row_bank_is_a_view_with_lazy_maps(self, monkeypatch, native):
+    def test_row_bank_is_a_view(self, native):
         kernels = get_kernels() if native else None
         if native and kernels is None:
             pytest.skip("no compiled backend to draw the batch natively")
@@ -541,14 +569,6 @@ class TestDefectBatch:
         batch = DefectBatch.generate(
             model, 7, 5, seed=11, start=3, stop=13, kernels=kernels
         )
-        restricted = []
-        restrict = DefectMap.restricted_to_rows
-
-        def counting(self, start, stop):
-            restricted.append((start, stop))
-            return restrict(self, start, stop)
-
-        monkeypatch.setattr(DefectMap, "restricted_to_rows", counting)
         bank = batch.restricted_to_rows(2, 5)
         assert (bank.start, bank.stop, bank.rows, bank.columns) == (3, 13, 3, 5)
         assert np.shares_memory(bank.functional, batch.functional)
@@ -557,43 +577,24 @@ class TestDefectBatch:
         assert bank.closed_rows.tolist() == batch.closed_rows[:, 2:5].tolist()
         assert bank.dropped is batch.dropped
         assert bank.closed_columns is batch.closed_columns
-        assert restricted == []
-        for offset in (1, 6, 1):
-            defect_map = bank.maps[offset]
-            assert defect_map.rows == 3
-            assert defect_map.functional_matrix() == bank.functional[offset].tolist()
-        # Only the offsets read were restricted, each once.
-        assert restricted == [(2, 5), (2, 5)]
         # A bank spanning every row is the batch itself.
         assert batch.restricted_to_rows(0, 7) is batch
         with pytest.raises(DefectError):
             batch.restricted_to_rows(4, 8)
 
-    def test_row_bank_keeps_spare_column_drops(self, monkeypatch):
+    def test_row_bank_keeps_spare_column_drops(self):
         model = create_defect_model("uniform", rate=0.15, stuck_open_fraction=0.7)
         batch = DefectBatch.generate(
             model, 5, 9, seed=7, start=0, stop=20, required_columns=6
         )
         assert batch.dropped.any() and not batch.dropped.all()
-        restricted = []
-        restrict = DefectMap.restricted_to_rows
-
-        def counting(self, start, stop):
-            restricted.append(start)
-            return restrict(self, start, stop)
-
-        monkeypatch.setattr(DefectMap, "restricted_to_rows", counting)
         bank = batch.restricted_to_rows(2, 5)
         assert bank.columns == 6
-        for offset in range(len(bank)):
-            if batch.dropped[offset]:
-                assert bank.maps[offset] is None
-            else:
-                assert bank.maps[offset].functional_matrix() == (
-                    bank.functional[offset].tolist()
-                )
-        # A dropped sample has no map to restrict.
-        assert len(restricted) == int((~batch.dropped).sum())
+        assert bank.dropped is batch.dropped
+        for offset in np.flatnonzero(~bank.dropped):
+            raw = model.inject(5, 9, seed=derive_seed(7, int(offset)))
+            repaired = repair_spare_columns(raw, 6).restricted_to_rows(2, 5)
+            assert bank.functional[offset].tolist() == repaired.functional_matrix()
 
     def test_to_arrays_matches_legacy_accessors(self):
         defect_map = DefectMap(

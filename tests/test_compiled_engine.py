@@ -31,13 +31,11 @@ import pytest
 from repro import compiled
 from repro.api import defect_models
 from repro.api.defect_models import (
-    DefectModel,
     create_defect_model,
     register_defect_model,
 )
 from repro.api.runner import run_scenario
 from repro.api.scenarios import FunctionSource, Scenario
-from repro.api.seeding import derive_seed
 from repro.boolean.cover import Cover
 from repro.boolean.minimize import (
     BOOLEAN_ENGINES,
@@ -307,13 +305,6 @@ class TestLoadedBackend:
             )
 
 
-def map_identity(defect_map: DefectMap | None):
-    """A defect map as comparable data (``DefectMap`` defines no ``==``)."""
-    if defect_map is None:
-        return None
-    return defect_map.rows, defect_map.columns, list(defect_map)
-
-
 @requires_backend
 class TestNativeUniformDraw:
     """The native uniform draw against ``random.Random`` and the per-sample path."""
@@ -355,29 +346,6 @@ class TestNativeUniformDraw:
                     got, want = getattr(native, name), getattr(oracle, name)
                     assert got.dtype == want.dtype, name
                     assert np.array_equal(got, want), (name, rate, fraction)
-                assert [map_identity(m) for m in native.maps] == [
-                    map_identity(m) for m in oracle.maps
-                ]
-
-    def test_maps_are_injected_on_first_read(self, monkeypatch):
-        model = create_defect_model("uniform", rate=0.2, stuck_open_fraction=0.5)
-        calls = []
-        inject = DefectModel.inject
-
-        def counted(self, rows, columns, *, seed=0):
-            calls.append(seed)
-            return inject(self, rows, columns, seed=seed)
-
-        monkeypatch.setattr(DefectModel, "inject", counted)
-        batch = DefectBatch.generate(
-            model, 4, 5, seed=2, start=0, stop=6, kernels=compiled.get_kernels()
-        )
-        assert calls == [] and len(batch.maps) == 6
-        assert map_identity(batch.maps[3]) == map_identity(
-            inject(model, 4, 5, seed=derive_seed(2, 3))
-        )
-        assert map_identity(batch.maps[3]) == map_identity(batch.maps[-3])
-        assert calls == [derive_seed(2, 3)]
 
     @pytest.fixture
     def overridden_uniform(self):
@@ -410,9 +378,6 @@ class TestNativeUniformDraw:
                 (batch.functional, batch.closed_rows, batch.closed_columns), want
             ):
                 assert np.array_equal(got[offset], expected)
-            assert map_identity(batch.maps[offset]) == map_identity(
-                overridden_uniform(5, 3)
-            )
 
     def test_rejects_arguments_the_kernel_would_overrun(self):
         kernels = compiled.get_kernels()

@@ -15,7 +15,6 @@ from repro.defects.analysis import (
 )
 from repro.defects.defect_map import DefectMap
 from repro.defects.injection import (
-    defect_maps_for_monte_carlo,
     inject_clustered,
     inject_exact_count,
     inject_line_defects,
@@ -149,11 +148,6 @@ class TestInjection:
         defect_map = inject_line_defects(5, 6, broken_rows=[2], broken_columns=[0])
         assert all(not defect_map.is_functional(2, c) for c in range(6))
         assert all(not defect_map.is_functional(r, 0) for r in range(5))
-
-    def test_monte_carlo_batch(self):
-        maps = defect_maps_for_monte_carlo(10, 10, 0.1, 5, seed=1)
-        assert len(maps) == 5
-        assert len({tuple((d.row, d.column) for d in m) for m in maps}) > 1
 
 
 class TestAnalysis:

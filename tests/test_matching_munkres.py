@@ -9,6 +9,7 @@ from repro.defects.defect_map import DefectMap
 from repro.defects.injection import inject_uniform
 from repro.defects.types import Defect, DefectType
 from repro.exceptions import MappingError
+from repro.mapping import munkres
 from repro.mapping.crossbar_matrix import CrossbarMatrix
 from repro.mapping.function_matrix import FunctionMatrix
 from repro.mapping.matching import (
@@ -147,14 +148,14 @@ class TestRowMatching:
 class TestMunkres:
     def test_simple_known_instance(self):
         cost = [[4, 1, 3], [2, 0, 5], [3, 2, 2]]
-        result = solve_assignment(cost, backend="python")
+        result = solve_assignment(cost)
         assert result.total_cost == 5
         assert len(result.pairs) == 3
 
     def test_rectangular_instances(self):
-        wide = solve_assignment([[1, 2, 3], [3, 1, 2]], backend="python")
+        wide = solve_assignment([[1, 2, 3], [3, 1, 2]])
         assert wide.total_cost == 2
-        tall = solve_assignment([[1, 2], [3, 1], [2, 2]], backend="python")
+        tall = solve_assignment([[1, 2], [3, 1], [2, 2]])
         assert tall.total_cost == 2
         assert len(tall.pairs) == 2
 
@@ -165,23 +166,22 @@ class TestMunkres:
         for _ in range(30):
             rows, columns = rng.integers(1, 15), rng.integers(1, 15)
             cost = rng.integers(0, 50, size=(rows, columns))
-            mine = solve_assignment(cost, backend="python").total_cost
+            mine = solve_assignment(cost).total_cost
             reference_rows, reference_columns = linear_sum_assignment(cost)
             assert mine == cost[reference_rows, reference_columns].sum()
 
-    def test_scipy_backend_agrees(self):
+    def test_scipy_backend_agrees(self, monkeypatch):
         cost = [[3, 1], [2, 4]]
-        python_result = solve_assignment(cost, backend="python")
-        scipy_result = solve_assignment(cost, backend="scipy")
+        python_result = solve_assignment(cost)
+        monkeypatch.setattr(munkres, "AUTO_SCIPY_THRESHOLD", 0)
+        scipy_result = solve_assignment(cost)
         assert python_result.total_cost == scipy_result.total_cost
 
     def test_invalid_inputs(self):
         with pytest.raises(MappingError):
-            solve_assignment([], backend="python")
+            solve_assignment([])
         with pytest.raises(MappingError):
-            solve_assignment([[float("inf")]], backend="python")
-        with pytest.raises(MappingError):
-            solve_assignment([[1.0]], backend="alien")
+            solve_assignment([[float("inf")]])
 
     def test_assignment_result_helpers(self):
         result = AssignmentResult(pairs=((0, 1), (1, 0)), total_cost=0.0)

@@ -338,10 +338,10 @@ class TestMonteCarloMultilevel:
         assert hopeless.outcomes["hybrid"].successes == 0
 
     def test_opaque_mapper_uses_object_path(self, rd53):
-        # A wrapper the kernel cannot recognise forces the per-sample
-        # object fallback inside the batched engine, which then reads the
-        # maps of row banks cut from a column-repaired chunk; results
-        # must equal the reference walk whichever path ran.
+        # A wrapper the kernel cannot recognise runs on the reference
+        # walk even under a batched engine, over row banks cut from a
+        # column-repaired sample; results must equal the reference
+        # engine's whichever path ran.
         class Wrapped:
             def __init__(self):
                 self._inner = HybridMapper()

@@ -186,7 +186,7 @@ class TestMappingProperties:
         import itertools
 
         cost = rows
-        result = solve_assignment(cost, backend="python")
+        result = solve_assignment(cost)
         best = min(
             sum(cost[i][permutation[i]] for i in range(4))
             for permutation in itertools.permutations(range(4))
