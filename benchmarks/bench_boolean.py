@@ -35,11 +35,12 @@ from repro.crossbar.two_level import (
 )
 from repro.experiments.figure6 import Figure6Config
 
-#: Engine name → (boolean engine, simulator engine) per pipeline stage.
-ENGINE_STAGES = {
-    "compiled": ("compiled", "batch"),
-    "packed": ("packed", "batch"),
-    "object": ("object", "object"),
+#: Result row label → the engine it runs (the labels name the
+#: ``BENCH_boolean.json`` metric keys, so they stay comparable).
+LABEL_ENGINES = {
+    "compiled": "compiled",
+    "packed": "vectorized",
+    "object": "reference",
 }
 
 
@@ -51,7 +52,6 @@ def run_pipeline(
     Returns ``(elapsed_seconds, per-sample result tuples)``; the tuples
     carry everything the differential check compares.
     """
-    boolean_engine, simulator_engine = ENGINE_STAGES[engine]
     spec = Figure6Config().spec_for(num_inputs)
     results = []
     start = time.perf_counter()
@@ -59,17 +59,15 @@ def run_pipeline(
         function = random_single_output_function(
             spec,
             seed=derive_seed(seed, "random-function", index),
-            engine=boolean_engine,
+            engine=engine,
         )
-        cover = minimize_cover(
-            function.cover_for_output(0), engine=boolean_engine
-        )
+        cover = minimize_cover(function.cover_for_output(0), engine=engine)
         minimized = BooleanFunction.single_output(
             cover, input_names=function.input_names, name=function.name
         )
         area = two_level_area_cost(num_inputs, 1, minimized.num_products)
         design = TwoLevelDesign(minimized)
-        valid = verify_layout(design.layout, function, engine=simulator_engine)
+        valid = verify_layout(design.layout, function, engine=engine)
         results.append((cover.to_strings(), area, valid))
     return time.perf_counter() - start, results
 
@@ -89,7 +87,7 @@ def collect(
         results = {}
         for engine in engines:
             elapsed[engine], results[engine] = run_pipeline(
-                num_inputs, samples, seed=seed, engine=engine
+                num_inputs, samples, seed=seed, engine=LABEL_ENGINES[engine]
             )
             totals[engine] += elapsed[engine]
         for engine in engines[1:]:

@@ -49,10 +49,10 @@ from repro.analysis.confidence import (
 )
 from repro.api.defect_models import DefectModel
 from repro.boolean.function import BooleanFunction
+from repro.engines import resolve_mapping_engine
 from repro.exceptions import ExperimentError
 from repro.experiments.monte_carlo import (
     MonteCarloResult,
-    resolve_mapping_engine,
     run_mapping_monte_carlo,
 )
 
@@ -213,7 +213,6 @@ def run_adaptive_monte_carlo(
     extra_rows: int = 0,
     extra_columns: int = 0,
     workers: int | None = None,
-    chunk_size: int | None = None,
     engine: str = "auto",
     multilevel: dict | None = None,
     max_samples: int = DEFAULT_MAX_SAMPLES,
@@ -221,7 +220,7 @@ def run_adaptive_monte_carlo(
     """Run the Monte-Carlo protocol until the CI half-width hits a target.
 
     The experiment parameters (``function`` through ``multilevel``) are
-    exactly those of
+    those of
     :func:`~repro.experiments.monte_carlo.run_mapping_monte_carlo`; the
     remaining keywords configure the adaptive loop:
 
@@ -271,7 +270,6 @@ def run_adaptive_monte_carlo(
             extra_rows=extra_rows,
             extra_columns=extra_columns,
             workers=workers,
-            chunk_size=chunk_size,
             defect_model=defect_model,
             engine=engine,
             sample_offset=offset,

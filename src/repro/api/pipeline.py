@@ -506,7 +506,6 @@ class Design:
         algorithms: Sequence[str] | Mapping[str, Mapper] = ("hybrid", "exact"),
         seed: int = 0,
         workers: int | None = None,
-        chunk_size: int | None = None,
         defect_model: DefectModel | str | dict | None = None,
         engine: str = "auto",
     ):
@@ -532,7 +531,6 @@ class Design:
             extra_rows=self._extra_rows,
             extra_columns=self._extra_columns,
             workers=workers,
-            chunk_size=chunk_size,
             defect_model=defect_model,
             engine=engine,
             multilevel=self._multilevel if self._staged else None,

@@ -229,15 +229,6 @@ class SuiteResult:
 # sample indices with derive_seed streams, merged in chunk order — the
 # same determinism contract as the Monte-Carlo mapping engine.
 # ----------------------------------------------------------------------
-#: Pipeline engine → Boolean kernel engine for the area protocol.
-_AREA_BOOLEAN_ENGINES = {
-    "auto": "auto",
-    "compiled": "compiled",
-    "vectorized": "packed",
-    "reference": "object",
-}
-
-
 def sample_stream_length(scenario: Scenario) -> int:
     """The length of each global sample stream the scenario plans.
 
@@ -257,13 +248,11 @@ def evaluate_area_chunk(
 
     A random source draws sample ``i`` from the ``("random-function",
     i)`` seed stream; any other source's single sample is the function
-    itself.  ``engine`` is a pipeline engine name, mapped onto the
-    Boolean kernel it selects.
+    itself.  ``engine`` selects the Boolean kernel tier.
     """
     from repro.boolean.random_functions import random_single_output_function
     from repro.experiments.figure6 import evaluate_sample
 
-    boolean_engine = _AREA_BOOLEAN_ENGINES.get(engine, "auto")
     random_spec = (
         scenario.source.random_spec()
         if scenario.source.kind == "random"
@@ -277,14 +266,14 @@ def evaluate_area_chunk(
             function = random_single_output_function(
                 random_spec,
                 seed=derive_seed(scenario.seed, "random-function", index),
-                engine=boolean_engine,
+                engine=engine,
             )
         sample = evaluate_sample(
             function,
             minimize_before_synthesis=scenario.options.get(
                 "minimize_before_synthesis", True
             ),
-            engine=boolean_engine,
+            engine=engine,
         )
         rows.append(
             {
@@ -302,13 +291,12 @@ def _run_area_protocol(
     scenario: Scenario,
     *,
     workers: int | None,
-    chunk_size: int | None,
     engine: str,
     emit: Callable[[int, dict], None] | None,
 ) -> tuple[list[dict], int]:
     samples = sample_stream_length(scenario)
     runner = BatchRunner(workers)
-    plan = runner.plan(samples, chunk_size)
+    plan = runner.plan(samples)
     rows: list[dict] = []
 
     def stream_chunk(partial: list[dict]) -> None:
@@ -364,7 +352,6 @@ def _run_mapping_protocol(
     scenario: Scenario,
     *,
     workers: int | None,
-    chunk_size: int | None,
     engine: str,
     emit: Callable[[int, dict], None] | None,
 ) -> tuple[list[dict], int]:
@@ -389,7 +376,6 @@ def _run_mapping_protocol(
             extra_rows=extra_rows,
             extra_columns=extra_columns,
             workers=workers,
-            chunk_size=chunk_size,
             engine=engine,
             multilevel=multilevel,
         )
@@ -405,7 +391,6 @@ def run_scenario(
     scenario: Scenario,
     *,
     workers: int | None = None,
-    chunk_size: int | None = None,
     engine: str = "auto",
     force: bool = False,
     store: ArtifactStore | None = None,
@@ -419,19 +404,14 @@ def run_scenario(
     workers:
         Forwarded to the batch engine (``None`` = auto, ``1`` = serial,
         ``N`` = process pool); never part of the cache key.
-    chunk_size:
-        Samples per chunk (default: auto).
     engine:
-        ``"auto"`` (default), ``"compiled"``, ``"vectorized"``,
-        ``"packed"`` (an alias for ``"vectorized"``) or ``"reference"``
-        — the execution engine (see :mod:`repro.engines`).  A single
-        name fans out per protocol: for ``"mapping"`` scenarios it
-        selects the Monte-Carlo tier, for ``"area"`` scenarios the
-        matching Boolean kernel tier (``auto``→``auto``,
-        ``compiled``→``compiled``, ``vectorized``→``packed``,
-        ``reference``→``object``).  Like ``workers``, the engine is
-        never part of the cache key: every engine produces identical
-        counting statistics, so a cached artifact is engine-agnostic.
+        A :data:`repro.engines.ENGINES` name: ``"auto"`` (default),
+        ``"compiled"``, ``"vectorized"`` or ``"reference"``.  It selects
+        the Monte-Carlo tier of a ``"mapping"`` scenario and the
+        Boolean kernel tier of an ``"area"`` scenario.  Like
+        ``workers``, the engine is never part of the cache key: every
+        engine produces identical counting statistics, so a cached
+        artifact is engine-agnostic.
     force:
         Recompute even when the store already holds a complete artifact.
     store:
@@ -460,7 +440,6 @@ def run_scenario(
         rows, used_workers = _run_area_protocol(
             scenario,
             workers=workers,
-            chunk_size=chunk_size,
             engine=engine,
             emit=emit,
         )
@@ -468,7 +447,6 @@ def run_scenario(
         rows, used_workers = _run_mapping_protocol(
             scenario,
             workers=workers,
-            chunk_size=chunk_size,
             engine=engine,
             emit=emit,
         )
@@ -491,7 +469,6 @@ def run_suite(
     suite: ScenarioSuite,
     *,
     workers: int | None = None,
-    chunk_size: int | None = None,
     engine: str = "auto",
     force: bool = False,
     store: ArtifactStore | None = None,
@@ -507,7 +484,6 @@ def run_suite(
         scenario_result = run_scenario(
             scenario,
             workers=workers,
-            chunk_size=chunk_size,
             engine=engine,
             force=force,
             store=store,

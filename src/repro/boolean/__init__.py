@@ -17,14 +17,12 @@ from repro.boolean.cube import DONT_CARE, NEGATIVE, POSITIVE, Cube
 from repro.boolean.expression import function_from_expressions, parse_sop
 from repro.boolean.function import BooleanFunction, Product
 from repro.boolean.minimize import (
-    BOOLEAN_ENGINES,
     expand_cover,
     irredundant_cover,
     merge_distance_one,
     minimize_cover,
     prime_implicants,
     quine_mccluskey,
-    resolve_boolean_engine,
 )
 from repro.boolean.packed import (
     PackedCover,
@@ -65,8 +63,6 @@ __all__ = [
     "complement_cover",
     "complement_cube",
     "ComplementOverflowError",
-    "BOOLEAN_ENGINES",
-    "resolve_boolean_engine",
     "minimize_cover",
     "minimize_cover_packed",
     "merge_distance_one_packed",

@@ -15,17 +15,20 @@ input counts.  The heuristic never changes the function (each step is
 verified by containment against the original cover's semantics) and is
 deterministic.
 
-Both minimisers run on one of two engines (``engine=``):
+Both minimisers take ``engine=`` from :data:`repro.engines.ENGINES`,
+resolved by :func:`repro.engines.resolve_boolean_engine`:
 
-* ``"packed"`` — the ``uint64`` bit-plane kernels of
+* ``"vectorized"`` — the ``uint64`` bit-plane kernels of
   :mod:`repro.boolean.packed`: containment and tautology probes become
   wide bitwise operations on packed truth tables, with cube-for-cube
   identical results;
-* ``"object"`` — the original :class:`Cube`/:class:`Cover` walk, kept as
-  the differential reference.
+* ``"compiled"`` — the same kernels with native merge passes;
+* ``"reference"`` — the original :class:`Cube`/:class:`Cover` walk,
+  kept as the differential reference.
 
-``engine="auto"`` (the default) picks the packed engine whenever the
-input count fits the truth-table kernels, so existing callers get the
+``engine="auto"`` (the default) picks the fastest of the first two
+whenever the input count fits the truth-table kernels, and every name
+runs the reference walk on wider covers, so existing callers get the
 speedup transparently without any observable change.
 """
 
@@ -35,41 +38,8 @@ from collections.abc import Iterable
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
+from repro.engines import resolve_boolean_engine
 from repro.exceptions import BooleanFunctionError
-
-#: Engines the minimisers accept (``"auto"`` resolves per input count
-#: and per machine).
-BOOLEAN_ENGINES = ("auto", "compiled", "packed", "object")
-
-
-def resolve_boolean_engine(engine: str, num_inputs: int) -> str:
-    """Resolve ``engine=`` into ``"compiled"``, ``"packed"`` or ``"object"``.
-
-    ``"auto"`` selects the packed kernels whenever the input count fits
-    their truth-table budget (1..``PACKED_INPUT_LIMIT``) — upgraded to
-    ``"compiled"`` when a native backend is loadable
-    (:mod:`repro.compiled`); explicit choices are validated but
-    honoured as-is except that they degrade silently down the
-    ``compiled`` → ``packed`` → ``object`` order when the requested
-    tier is unavailable (no backend, unsupported width), so callers
-    never have to special-case machines or cover sizes.
-    """
-    if engine not in BOOLEAN_ENGINES:
-        raise BooleanFunctionError(
-            f"unknown boolean engine {engine!r}; expected one of "
-            f"{list(BOOLEAN_ENGINES)}"
-        )
-    from repro.boolean.packed import PACKED_INPUT_LIMIT
-
-    if not 1 <= num_inputs <= PACKED_INPUT_LIMIT:
-        return "object"
-    if engine == "object":
-        return "object"
-    if engine == "packed":
-        return "packed"
-    from repro.compiled import compiled_available
-
-    return "compiled" if compiled_available() else "packed"
 
 
 # ----------------------------------------------------------------------
@@ -83,13 +53,13 @@ def minimize_cover(
     The loop applies cube merging, literal expansion and irredundant-cover
     extraction until a pass makes no further progress (or ``max_passes`` is
     reached).  The result covers exactly the same minterms as the input.
-    ``engine`` selects the packed bitset kernels or the object reference
-    path (identical results; see the module docstring).
+    ``engine`` selects the packed bitset kernels or the reference walk
+    (identical results; see the module docstring).
     """
+    resolved = resolve_boolean_engine(engine, cover.num_inputs)
     if cover.is_empty() or cover.has_full_dont_care():
         return cover.without_contained_cubes()
-    resolved = resolve_boolean_engine(engine, cover.num_inputs)
-    if resolved != "object":
+    if resolved != "reference":
         from repro.boolean.packed import minimize_cover_packed
 
         return minimize_cover_packed(
@@ -208,9 +178,10 @@ def quine_mccluskey(
     Essential prime implicants are always selected; the residual covering
     problem is solved exactly by branch-and-bound when it has at most
     ``exact_limit`` candidate primes, and greedily otherwise.  ``engine``
-    selects the packed or object prime-implicant front-end (identical
+    selects the packed or reference prime-implicant front-end (identical
     primes and coverage sets, so the selection below is engine-agnostic).
     """
+    resolved = resolve_boolean_engine(engine, num_inputs)
     minterm_list = sorted(set(int(m) for m in minterms))
     if not minterm_list:
         return Cover.zero(num_inputs)
@@ -221,7 +192,7 @@ def quine_mccluskey(
             "quine_mccluskey is limited to 20 inputs; use minimize_cover instead"
         )
 
-    if resolve_boolean_engine(engine, num_inputs) != "object":
+    if resolved != "reference":
         from repro.boolean.packed import (
             prime_coverage_packed,
             prime_implicants_packed,

@@ -25,6 +25,7 @@ from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.boolean.function import BooleanFunction
 from repro.boolean.minimize import merge_distance_one
+from repro.engines import resolve_boolean_engine
 from repro.exceptions import BooleanFunctionError
 
 
@@ -79,12 +80,10 @@ def random_cover(
     """A random sum-of-products cover following ``spec``.
 
     ``engine`` selects the clean-up implementation — the packed bitset
-    kernels or the object reference path.  The RNG draw sequence is
-    shared, so both engines return the identical cover for the same
-    ``rng`` state.
+    kernels or the reference walk.  The RNG draw sequence is shared, so
+    every engine returns the identical cover for the same ``rng`` state.
     """
-    from repro.boolean.minimize import resolve_boolean_engine
-
+    resolved = resolve_boolean_engine(engine, spec.num_inputs)
     max_products = spec.resolved_max_products()
     if spec.min_products > max_products:
         raise BooleanFunctionError("min_products exceeds max_products")
@@ -99,8 +98,7 @@ def random_cover(
     # Light clean-up: drop contained cubes and merge trivially mergeable
     # pairs, mirroring the fact that the paper feeds *functions*, not raw
     # redundant cube lists, into the cost comparison.
-    resolved = resolve_boolean_engine(engine, spec.num_inputs)
-    if resolved != "object":
+    if resolved != "reference":
         from repro.boolean.packed import merge_distance_one_packed
 
         return merge_distance_one_packed(
@@ -114,8 +112,8 @@ def random_single_output_function(
 ) -> BooleanFunction:
     """A random single-output function, deterministic in ``seed``.
 
-    ``engine`` is forwarded to :func:`random_cover`; both engines draw
-    the same RNG stream and return the identical function.
+    ``engine`` is forwarded to :func:`random_cover`; every engine draws
+    the same RNG stream and returns the identical function.
     """
     rng = random.Random(seed)
     cover = random_cover(spec, rng, engine=engine)

@@ -32,7 +32,7 @@ from pathlib import Path
 from repro.api.artifacts import ArtifactStore
 from repro.api.batch import warm_pool
 from repro.api.scenarios import Scenario, ScenarioSuite
-from repro.engines import ENGINE_CHOICES, canonical_engine
+from repro.engines import ENGINES
 from repro.exceptions import ExperimentError, ReproError
 
 #: Default artifact-store location when ``--jsonl`` is not given.
@@ -161,7 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = run_suite(
         suite,
         workers=args.workers,
-        engine=canonical_engine(args.engine),
+        engine=args.engine,
         force=args.force,
         store=store,
         progress=progress,
@@ -248,7 +248,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"`analyze spares` searches with one mapper; --algorithms got "
             f"{len(algorithms)}: {algorithms_text!r}"
         )
-    engine = canonical_engine(args.engine)
     tolerance = args.tolerance
     if args.what == "yield" and tolerance is None:
         tolerance = 0.01  # yield mode is always adaptive
@@ -362,7 +361,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 extra_rows=redundancy[0],
                 extra_columns=redundancy[1],
                 workers=args.workers,
-                engine=engine,
+                engine=args.engine,
                 max_samples=max_samples,
                 multilevel=multilevel,
             )
@@ -379,7 +378,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 stuck_open_fraction=args.stuck_open_fraction,
                 seed=args.seed,
                 workers=args.workers,
-                engine=engine,
+                engine=args.engine,
                 max_samples=max_samples,
             )
             return {"kind": "yield_curve", "result": curve.to_dict()}
@@ -398,7 +397,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             criterion=criterion,
             seed=args.seed,
             workers=args.workers,
-            engine=engine,
+            engine=args.engine,
             max_samples=max_samples,
         )
         return {"kind": "spare_search", "result": search.to_dict()}
@@ -500,7 +499,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         CheckpointStore(args.checkpoints or DEFAULT_CHECKPOINTS),
         artifacts=ArtifactStore(args.jsonl or DEFAULT_STORE),
         workers=args.workers,
-        engine=canonical_engine(args.engine),
+        engine=args.engine,
         chunk_size=args.chunk_size,
         chunk_timeout=args.chunk_timeout,
         chunk_retries=args.chunk_retries,
@@ -590,16 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--engine",
-        choices=ENGINE_CHOICES,
+        choices=ENGINES,
         default="auto",
         help=(
             "execution engine: 'auto' (default) picks the fastest "
             "available tier (compiled native kernels when a backend is "
             "present, the batched NumPy kernels otherwise); 'compiled', "
-            "'vectorized' ('packed' is an alias naming the bit-packed "
-            "Boolean kernel the area protocol uses) and the per-sample "
-            "'reference' object path select a tier explicitly; all "
-            "choices produce identical counting statistics"
+            "'vectorized' and the per-sample 'reference' object path "
+            "select a tier explicitly; all choices produce identical "
+            "counting statistics"
         ),
     )
     run_parser.add_argument(
@@ -800,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.add_argument(
         "--engine",
-        choices=ENGINE_CHOICES,
+        choices=ENGINES,
         default="auto",
         help="execution engine (identical statistics, different speed)",
     )
@@ -853,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--engine",
-        choices=ENGINE_CHOICES,
+        choices=ENGINES,
         default="auto",
         help=(
             "execution engine for chunk jobs (identical statistics; "

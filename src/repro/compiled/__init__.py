@@ -24,9 +24,9 @@ mapping and merge kernels, run only by the test suite; the defect draw's
 oracle is :func:`repro.defects.injection.inject_uniform` itself.
 
 When the backend cannot load the compiled tier is simply *absent*:
-:func:`compiled_available` returns ``False`` and
-``repro.engines.resolve_mapping_engine`` degrades ``"compiled"`` /
-``"auto"`` to the NumPy tier without error.  The backend is held to the
+:func:`compiled_available` returns ``False`` and the resolvers of
+:mod:`repro.engines` degrade ``"compiled"`` / ``"auto"`` to the NumPy
+tier without error.  The backend is held to the
 same sample-for-sample differential contract as the NumPy engines
 (``tests/test_compiled_engine.py``), so counting statistics never
 depend on whether it is present.

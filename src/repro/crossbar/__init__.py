@@ -32,7 +32,6 @@ from repro.crossbar.metrics import (
 )
 from repro.crossbar.multi_level import MultiLevelDesign, OutputTap
 from repro.crossbar.simulator import (
-    SIMULATOR_ENGINES,
     SimulationResult,
     evaluate_multi_level,
     evaluate_two_level,
@@ -82,7 +81,6 @@ __all__ = [
     "CrossbarController",
     "PhaseTrace",
     "SimulationResult",
-    "SIMULATOR_ENGINES",
     "evaluate_two_level",
     "evaluate_two_level_batch",
     "evaluate_multi_level",

@@ -37,10 +37,8 @@ import numpy as np
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.device import DeviceMode
 from repro.crossbar.layout import ColumnKind, CrossbarLayout, RowKind
+from repro.engines import canonical_engine
 from repro.exceptions import CrossbarError
-
-#: Engines the batch-capable entry points accept.
-SIMULATOR_ENGINES = ("auto", "batch", "object")
 
 
 @dataclass
@@ -452,26 +450,24 @@ def verify_layout(
 
     ``reference`` is a :class:`~repro.boolean.function.BooleanFunction`;
     evaluation is exhaustive for small input counts and sampled otherwise.
-    ``engine`` selects the batched tensor evaluation (two-level layouts
-    only; the default) or the scalar object walk — both answer
-    identically.
+    ``engine`` is a :data:`repro.engines.ENGINES` name: ``"reference"``
+    runs the scalar object walk, any other name the batched tensor
+    evaluation of a two-level layout — both answer identically.  A
+    multi-level layout has only the object walk: ``"auto"`` falls back
+    to it, an explicit ``"compiled"`` or ``"vectorized"`` is an error.
     """
     from repro.boolean.truth_table import (
         verification_assignment_matrix,
         verification_assignments,
     )
 
-    if engine not in SIMULATOR_ENGINES:
+    engine = canonical_engine(engine)
+    if multi_level and engine in ("compiled", "vectorized"):
         raise CrossbarError(
-            f"unknown simulator engine {engine!r}; expected one of "
-            f"{list(SIMULATOR_ENGINES)}"
+            f"engine={engine!r} does not support multi-level layouts; use "
+            "engine='auto' (falls back to the object walk) or 'reference'"
         )
-    if engine == "batch" and multi_level:
-        raise CrossbarError(
-            "engine='batch' does not support multi-level layouts; use "
-            "engine='auto' (falls back to the object walk) or 'object'"
-        )
-    if engine != "object" and not multi_level:
+    if engine != "reference" and not multi_level:
         batch = verification_assignment_matrix(
             reference.num_inputs,
             exhaustive_limit=exhaustive_limit,

@@ -24,6 +24,7 @@ from repro.boolean.function import BooleanFunction
 from repro.boolean.minimize import minimize_cover
 from repro.boolean.random_functions import RandomFunctionSpec
 from repro.crossbar.two_level import two_level_area_cost
+from repro.engines import canonical_engine
 from repro.exceptions import ExperimentError
 from repro.experiments.report import ascii_scatter, format_percent
 from repro.synth.area import multilevel_area
@@ -151,10 +152,11 @@ def evaluate_sample(
 ) -> Figure6Sample:
     """Compute both area costs for one random single-output function.
 
-    ``engine`` selects the Boolean minimisation kernel — ``"auto"`` /
-    ``"packed"`` for the bit-plane fast path, ``"object"`` for the
-    reference walk; both produce identical samples.
+    ``engine`` is a :data:`repro.engines.ENGINES` name selecting the
+    Boolean minimisation tier (see :mod:`repro.boolean.minimize`);
+    every engine produces the identical sample.
     """
+    canonical_engine(engine)
     if function.num_outputs != 1:
         raise ExperimentError("Fig. 6 uses single-output functions")
     num_products = function.num_products
@@ -216,10 +218,10 @@ def run_figure6(
     ``workers`` selects the parallel batch engine (``None`` = auto);
     each panel's sample stream is chunked over *global* sample indices
     with collision-free derived seeds and merged in chunk order, so the
-    panels are identical for every worker count.  ``engine`` selects the
-    Boolean execution kernel — ``"vectorized"``/``"packed"`` for the
-    bit-plane fast path, ``"reference"`` for the object walk — with
-    sample-for-sample identical panels.
+    panels are identical for every worker count.  ``engine`` reaches
+    every sample's :func:`evaluate_sample`, so it takes the same
+    :data:`repro.engines.ENGINES` names, with sample-for-sample
+    identical panels.
     """
     config = config or Figure6Config()
     result = Figure6Result(config=config)

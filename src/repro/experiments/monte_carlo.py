@@ -74,11 +74,7 @@ from repro.boolean.function import BooleanFunction
 from repro.compiled import get_kernels
 from repro.defects.batch import DefectBatch, repair_spare_columns
 from repro.defects.types import DefectProfile
-from repro.engines import (
-    MAPPING_ENGINES,
-    canonical_engine,
-    resolve_mapping_engine,
-)
+from repro.engines import resolve_mapping_engine
 from repro.exceptions import ExperimentError
 from repro.mapping.batch_kernel import (
     MapperBatchOutcome,
@@ -90,28 +86,15 @@ from repro.mapping.crossbar_matrix import CrossbarMatrix
 from repro.mapping.function_matrix import FunctionMatrix
 from repro.mapping.validate import map_banks
 
-#: Concrete engines a Monte-Carlo chunk can run on (``"auto"`` has
-#: already been resolved by the time a chunk task is built; see
-#: :mod:`repro.engines`).
-ENGINES = ("compiled", "vectorized", "reference")
-
-#: Engines sharing the batched tensor pipeline (the compiled tier is
-#: the vectorized pipeline with native kernels).
-_BATCHED_ENGINES = ("compiled", "vectorized")
-
 #: Floor on the auto chunk size under the vectorized engine: batched
 #: tensor passes need a minimum chunk to amortise, and tiny chunks would
 #: also re-pay the FunctionMatrix build per chunk.
 VECTORIZED_MIN_CHUNK = 32
 
 __all__ = [
-    "ENGINES",
-    "MAPPING_ENGINES",
     "AlgorithmOutcome",
     "MonteCarloResult",
-    "canonical_engine",
     "repair_spare_columns",
-    "resolve_mapping_engine",
     "run_mapping_monte_carlo",
 ]
 
@@ -422,7 +405,7 @@ def _run_chunk(task: _ChunkTask) -> dict[str, AlgorithmOutcome]:
     batched = {
         name: mapper
         for name, mapper in task.mappers.items()
-        if task.engine in _BATCHED_ENGINES and mapper_kind(mapper) is not None
+        if task.engine != "reference" and mapper_kind(mapper) is not None
     }
     walked = {n: m for n, m in task.mappers.items() if n not in batched}
     outcomes = {}
@@ -613,8 +596,7 @@ def run_mapping_monte_carlo(
         ``"compiled"`` (native replicas via :mod:`repro.compiled`,
         when a backend is available) falling back to ``"vectorized"``
         (the batched NumPy kernel of :mod:`repro.mapping.batch_kernel`).
-        ``"reference"`` runs the original object-per-sample loop;
-        ``"packed"`` is accepted as an alias for ``"vectorized"``.  All
+        ``"reference"`` runs the original object-per-sample loop.  All
         engines are differentially tested to produce identical counting
         statistics sample-for-sample; only wall-clock fields differ.
         The result records the engine that actually ran.
@@ -677,7 +659,7 @@ def run_mapping_monte_carlo(
     runner = BatchRunner(workers)
     # Batched passes amortise over chunk size, so the vectorized engine
     # floors the auto chunk size; explicit chunk_size always wins.
-    min_chunk = VECTORIZED_MIN_CHUNK if engine in _BATCHED_ENGINES else 1
+    min_chunk = VECTORIZED_MIN_CHUNK if engine != "reference" else 1
     plan = runner.plan(sample_size, chunk_size, min_chunk_size=min_chunk)
     tasks = [
         _ChunkTask(

@@ -58,9 +58,6 @@ DECISION_REJECT = -1  #: structural screen proved failure
 DECISION_KERNEL = 2  #: NumPy replica of the built-in algorithm ran
 DECISION_COMPILED = 4  #: native replica batch (``engine="compiled"``)
 
-#: Engines this module can run a batch on.
-BATCH_ENGINES = ("vectorized", "compiled")
-
 #: Upper bound on compatibility-tensor cells per sub-batch (keeps the
 #: broadcasted pass cache- and memory-friendly for the largest circuits).
 MAX_TENSOR_CELLS = 8_000_000
@@ -173,10 +170,10 @@ def map_sample_batch(
         statistics either way; when no compiled backend is loadable in
         this process the NumPy replicas transparently take over.
     """
-    if engine not in BATCH_ENGINES:
+    if engine not in ("vectorized", "compiled"):
         raise MappingError(
             f"unknown batch engine {engine!r}; expected one of "
-            f"{list(BATCH_ENGINES)}"
+            "['vectorized', 'compiled']"
         )
     kinds = {name: mapper_kind(mapper) for name, mapper in mappers.items()}
     opaque = [name for name, kind in kinds.items() if kind is None]

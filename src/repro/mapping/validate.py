@@ -22,18 +22,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.boolean.function import BooleanFunction
-from repro.boolean.truth_table import (
-    verification_assignment_matrix,
-    verification_assignments,
-)
-from repro.crossbar.simulator import (
-    SIMULATOR_ENGINES,
-    evaluate_two_level,
-    evaluate_two_level_batch,
-)
+from repro.crossbar.simulator import verify_layout
 from repro.crossbar.two_level import TwoLevelDesign
-from repro.exceptions import CrossbarError
 from repro.defects.defect_map import DefectMap
+from repro.engines import canonical_engine
 from repro.mapping.crossbar_matrix import CrossbarMatrix
 from repro.mapping.function_matrix import FunctionMatrix
 from repro.mapping.matching import rows_compatible
@@ -104,17 +96,13 @@ def validate_functionally(
     """End-to-end check: simulate the mapped design on the defective array.
 
     The two-level layout is permuted according to the mapping, programmed
-    onto an array carrying the defect map, and evaluated against the
-    source function on exhaustive (small inputs) or sampled assignments.
-    ``engine`` selects the batched tensor simulation (the default, one
-    vectorized pass over the whole assignment stream) or the scalar
-    object walk; both answer identically.
+    onto an array carrying the defect map, and checked against the
+    source function by :func:`~repro.crossbar.simulator.verify_layout`
+    on exhaustive (small inputs) or sampled assignments.  ``engine``
+    selects its batched tensor simulation or the scalar object walk
+    (``"reference"``); both answer identically.
     """
-    if engine not in SIMULATOR_ENGINES:
-        raise CrossbarError(
-            f"unknown simulator engine {engine!r}; expected one of "
-            f"{list(SIMULATOR_ENGINES)}"
-        )
+    canonical_engine(engine)
     if not result.success:
         return False
     design = TwoLevelDesign(function)
@@ -124,25 +112,14 @@ def validate_functionally(
         return False
     array = defect_map.to_array()
     array.program_active(permuted.active_crosspoints)
-    if engine != "object":
-        from repro.boolean.packed import evaluate_function_batch
-
-        batch = verification_assignment_matrix(
-            function.num_inputs,
-            exhaustive_limit=exhaustive_limit,
-            samples=samples,
-        )
-        simulated = evaluate_two_level_batch(permuted, batch, array=array)
-        expected = evaluate_function_batch(function, batch)
-        return bool((simulated == expected).all())
-    for assignment in verification_assignments(
-        function.num_inputs, exhaustive_limit=exhaustive_limit, samples=samples
-    ):
-        simulated = evaluate_two_level(permuted, assignment, array=array)
-        expected = [1 if value else 0 for value in function.evaluate(assignment)]
-        if simulated.outputs != expected:
-            return False
-    return True
+    return verify_layout(
+        permuted,
+        function,
+        array=array,
+        exhaustive_limit=exhaustive_limit,
+        samples=samples,
+        engine=engine,
+    )
 
 
 def validate_both(

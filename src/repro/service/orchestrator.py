@@ -238,7 +238,7 @@ class Orchestrator:
         self.checkpoints = checkpoints
         self.artifacts = artifacts
         self.workers = workers
-        # The canonical name is what gets persisted into job specs; an
+        # The validated name is what gets persisted into job specs; an
         # ``"auto"`` job resolves per executing machine, which is safe
         # because cross-engine partials merge (engine="mixed").
         self.engine = canonical_engine(engine)

@@ -24,7 +24,6 @@ from repro.boolean.minimize import (
     minimize_cover,
     prime_implicants,
     quine_mccluskey,
-    resolve_boolean_engine,
 )
 from repro.boolean.packed import (
     PackedCover,
@@ -56,7 +55,13 @@ from repro.crossbar.simulator import (
 from repro.crossbar.two_level import TwoLevelDesign
 from repro.defects.injection import inject_uniform
 from repro.defects.types import DefectProfile
-from repro.exceptions import BooleanFunctionError, CrossbarError, MappingError
+from repro.engines import resolve_boolean_engine
+from repro.exceptions import (
+    BooleanFunctionError,
+    CrossbarError,
+    ExperimentError,
+    MappingError,
+)
 from repro.mapping.function_matrix import FunctionMatrix
 
 
@@ -65,7 +70,7 @@ def _random_cover(num_inputs: int, seed: int, *, max_products: int = 12) -> Cove
     spec = RandomFunctionSpec(
         num_inputs=num_inputs, min_products=1, max_products=max_products
     )
-    return random_cover(spec, rng, engine="object")
+    return random_cover(spec, rng, engine="reference")
 
 
 class TestBitPlanes:
@@ -261,8 +266,8 @@ class TestMinimizeParity:
     def test_minimize_cover_differential(self, n):
         for seed in range(8):
             cover = _random_cover(n, 1000 * n + seed, max_products=3 * n)
-            obj = minimize_cover(cover, engine="object")
-            packed = minimize_cover(cover, engine="packed")
+            obj = minimize_cover(cover, engine="reference")
+            packed = minimize_cover(cover, engine="vectorized")
             assert packed.to_strings() == obj.to_strings(), (n, seed)
             # Function preservation, independently of the reference.
             assert packed.equivalent(cover)
@@ -280,8 +285,8 @@ class TestMinimizeParity:
         for seed in range(6):
             cover = _random_cover(n, 2000 * n + seed)
             minterms = sorted(cover.minterms())
-            obj = quine_mccluskey(n, minterms, engine="object")
-            packed = quine_mccluskey(n, minterms, engine="packed")
+            obj = quine_mccluskey(n, minterms, engine="reference")
+            packed = quine_mccluskey(n, minterms, engine="vectorized")
             assert packed.to_strings() == obj.to_strings(), (n, seed)
             assert sorted(packed.minterms()) == minterms
 
@@ -296,25 +301,33 @@ class TestMinimizeParity:
 
     def test_engine_validation(self):
         cover = _random_cover(4, 1)
-        with pytest.raises(BooleanFunctionError):
+        with pytest.raises(ExperimentError):
             minimize_cover(cover, engine="warp")
-        # Widths beyond the packed limit silently use the object path.
-        assert resolve_boolean_engine("auto", 25) == "object"
-        assert resolve_boolean_engine("packed", 25) == "object"
-        assert resolve_boolean_engine("packed", 8) == "packed"
-        assert resolve_boolean_engine("object", 8) == "object"
+        # Widths beyond the packed limit silently use the reference walk.
+        assert resolve_boolean_engine("auto", 25) == "reference"
+        assert resolve_boolean_engine("vectorized", 25) == "reference"
+        assert resolve_boolean_engine("vectorized", 8) == "vectorized"
+        assert resolve_boolean_engine("reference", 8) == "reference"
+
+
+#: The edge cases' two engines, labelled by the implementation each
+#: runs (the object walk, the packed kernels) like the rows of
+#: ``benchmarks/bench_boolean.py``.
+both_engines = pytest.mark.parametrize(
+    "engine", ["reference", "vectorized"], ids=["object", "packed"]
+)
 
 
 class TestMinimizeEdgeCases:
     """The satellite edge cases, pinned on both engines."""
 
-    @pytest.mark.parametrize("engine", ["object", "packed"])
+    @both_engines
     def test_empty_cover(self, engine):
         result = minimize_cover(Cover.zero(4), engine=engine)
         assert result.is_empty()
         assert quine_mccluskey(4, [], engine=engine).is_empty()
 
-    @pytest.mark.parametrize("engine", ["object", "packed"])
+    @both_engines
     def test_tautology_cover(self, engine):
         # A cover whose union is the whole space must minimise to
         # something equivalent to constant 1 (and QM to the single
@@ -325,7 +338,7 @@ class TestMinimizeEdgeCases:
         qm = quine_mccluskey(3, range(8), engine=engine)
         assert qm.to_strings() == ["---"]
 
-    @pytest.mark.parametrize("engine", ["object", "packed"])
+    @both_engines
     def test_single_minterm(self, engine):
         cover = Cover.from_minterms(5, [19])
         result = minimize_cover(cover, engine=engine)
@@ -333,27 +346,27 @@ class TestMinimizeEdgeCases:
         qm = quine_mccluskey(5, [19], engine=engine)
         assert qm.to_strings() == cover.to_strings()
 
-    @pytest.mark.parametrize("engine", ["object", "packed"])
+    @both_engines
     def test_full_dont_care_cube(self, engine):
         # The universal cube swallows everything else.
         cover = Cover.from_strings(4, ["----", "10--", "0011"])
         result = minimize_cover(cover, engine=engine)
         assert result.to_strings() == ["----"]
 
-    @pytest.mark.parametrize("engine", ["object", "packed"])
+    @both_engines
     def test_duplicate_and_contained_cubes(self, engine):
         cover = Cover(4, [Cube.from_string("1-0-"), Cube.from_string("110-")])
         result = minimize_cover(cover, engine=engine)
         assert result.to_strings() == ["1-0-", "110-"] or result.equivalent(cover)
         assert result.to_strings() == minimize_cover(
-            cover, engine="object"
+            cover, engine="reference"
         ).to_strings()
 
     def test_minimize_cover_packed_direct(self):
         cover = _random_cover(7, 77)
         assert (
             minimize_cover_packed(cover).to_strings()
-            == minimize_cover(cover, engine="object").to_strings()
+            == minimize_cover(cover, engine="reference").to_strings()
         )
 
 
@@ -362,15 +375,15 @@ class TestRandomGenerationParity:
     def test_random_cover_engines_identical(self, n):
         spec = RandomFunctionSpec(num_inputs=n, min_products=2, max_products=3 * n)
         for seed in range(6):
-            obj = random_cover(spec, random.Random(seed), engine="object")
-            packed = random_cover(spec, random.Random(seed), engine="packed")
+            obj = random_cover(spec, random.Random(seed), engine="reference")
+            packed = random_cover(spec, random.Random(seed), engine="vectorized")
             assert packed.to_strings() == obj.to_strings(), (n, seed)
 
     def test_random_function_engines_identical(self):
         spec = RandomFunctionSpec(num_inputs=9, min_products=2, max_products=20)
         for seed in range(5):
-            obj = random_single_output_function(spec, seed=seed, engine="object")
-            packed = random_single_output_function(spec, seed=seed, engine="packed")
+            obj = random_single_output_function(spec, seed=seed, engine="reference")
+            packed = random_single_output_function(spec, seed=seed, engine="vectorized")
             assert obj.cover_for_output(0) == packed.cover_for_output(0)
             assert obj.name == packed.name
 
@@ -379,8 +392,8 @@ class TestRandomGenerationParity:
         # downstream draw (the empty-cover fallback) stays aligned.
         spec = RandomFunctionSpec(num_inputs=6, min_products=2, max_products=10)
         rng_a, rng_b = random.Random(3), random.Random(3)
-        random_cover(spec, rng_a, engine="object")
-        random_cover(spec, rng_b, engine="packed")
+        random_cover(spec, rng_a, engine="reference")
+        random_cover(spec, rng_b, engine="vectorized")
         assert rng_a.random() == rng_b.random()
 
 
@@ -476,18 +489,19 @@ class TestBatchSimulator:
             function, design, array = self._design_and_array(seed)
             for arr in (None, array):
                 assert verify_layout(
-                    design.layout, function, array=arr, engine="batch"
+                    design.layout, function, array=arr, engine="vectorized"
                 ) == verify_layout(
-                    design.layout, function, array=arr, engine="object"
+                    design.layout, function, array=arr, engine="reference"
                 ), seed
-        with pytest.raises(CrossbarError):
+        with pytest.raises(ExperimentError):
             verify_layout(design.layout, function, engine="hyperdrive")
-        # Explicit batch on a multi-level layout is an error, not a
-        # silent object-path fallback; auto falls back quietly.
-        with pytest.raises(CrossbarError):
-            verify_layout(
-                design.layout, function, multi_level=True, engine="batch"
-            )
+        # An explicit batched tier on a multi-level layout is an error,
+        # not a silent object-path fallback; auto falls back quietly.
+        for engine in ("vectorized", "compiled"):
+            with pytest.raises(CrossbarError):
+                verify_layout(
+                    design.layout, function, multi_level=True, engine=engine
+                )
 
     def test_evaluate_function_batch_matches_object(self):
         for seed in range(5):
@@ -569,10 +583,10 @@ class TestValidateFunctionallyEngines:
             if not result.success:
                 continue
             batch = validate_functionally(
-                function, defect_map, result, engine="batch"
+                function, defect_map, result, engine="vectorized"
             )
             obj = validate_functionally(
-                function, defect_map, result, engine="object"
+                function, defect_map, result, engine="reference"
             )
             assert batch == obj, seed
             checked += 1
@@ -594,16 +608,16 @@ class TestValidateFunctionallyEngines:
             algorithm="probe",
             row_assignment={i: i for i in range(fm.num_rows)},
         )
-        with pytest.raises(CrossbarError):
+        with pytest.raises(ExperimentError):
             validate_functionally(function, defect_map, good, engine="warp")
 
 
-class TestRunnerEngineAlias:
-    def test_packed_alias_and_parity(self):
+class TestRunnerEngines:
+    def test_vectorized_and_reference_parity(self):
         from repro.experiments.figure6 import Figure6Config, run_figure6
 
         config = Figure6Config(input_sizes=(8,), sample_size=5, seed=3)
-        packed = run_figure6(config, workers=1, engine="packed")
+        vectorized = run_figure6(config, workers=1, engine="vectorized")
         reference = run_figure6(config, workers=1, engine="reference")
 
         def rows(result):
@@ -612,11 +626,10 @@ class TestRunnerEngineAlias:
                 for s in result.panels[8].samples
             ]
 
-        assert rows(packed) == rows(reference)
+        assert rows(vectorized) == rows(reference)
 
     def test_unknown_engine_rejected(self):
         from repro.api.runner import run_scenario
-        from repro.exceptions import ExperimentError
         from repro.experiments.figure6 import Figure6Config, scenario_for
 
         scenario = scenario_for(Figure6Config(sample_size=1), 8)

@@ -2,7 +2,7 @@
 
 Covers the ISSUE 8 acceptance matrix:
 
-* the engine registry — ``"packed"`` alias folding, registry-style
+* the engine vocabulary — one tuple of names, registry-style
   rejection of unknown names, and the ``auto`` → compiled →
   vectorized fallback chain (simulated backend absence via a
   monkeypatched probe and the ``REPRO_COMPILED`` kill switch);
@@ -17,7 +17,7 @@ Covers the ISSUE 8 acceptance matrix:
   from different engines (recording ``engine="mixed"``) while still
   rejecting genuine statistics-contract conflicts, and round-trips
   through ``CheckpointStore`` resume;
-* CLI alias acceptance on every subcommand (run / analyze / serve).
+* CLI engine names on every subcommand (run / analyze / serve).
 """
 
 from __future__ import annotations
@@ -37,29 +37,24 @@ from repro.api.defect_models import (
 from repro.api.runner import run_scenario
 from repro.api.scenarios import FunctionSource, Scenario
 from repro.boolean.cover import Cover
-from repro.boolean.minimize import (
-    BOOLEAN_ENGINES,
-    minimize_cover,
-    resolve_boolean_engine,
-)
+from repro.boolean.minimize import minimize_cover
 from repro.boolean.packed import _merge_distance_one_values
 from repro.boolean.random_functions import RandomFunctionSpec, random_cover
 from repro.circuits import get_benchmark
-from repro.cli import build_parser, main
+from repro.cli import build_parser
 from repro.compiled import _kernels_py as kernels_py
 from repro.defects.batch import DefectBatch
 from repro.defects.defect_map import DefectMap
 from repro.defects.injection import draw_uniform
 from repro.defects.types import Defect, DefectProfile, DefectType
 from repro.engines import (
-    ENGINE_CHOICES,
-    MAPPING_ENGINES,
+    ENGINES,
     canonical_engine,
+    resolve_boolean_engine,
     resolve_mapping_engine,
 )
 from repro.exceptions import ExperimentError
 from repro.experiments.monte_carlo import (
-    ENGINES,
     MonteCarloResult,
     run_mapping_monte_carlo,
 )
@@ -95,33 +90,31 @@ def counting(result: MonteCarloResult) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Engine registry: aliasing, rejection, auto resolution
+# Engine vocabulary: one tuple, rejection, auto resolution
 # ----------------------------------------------------------------------
 class TestEngineRegistry:
     def test_choice_lists_are_consistent(self):
-        assert MAPPING_ENGINES == ("auto", "compiled", "vectorized", "reference")
-        assert ENGINE_CHOICES == (
-            "auto", "compiled", "vectorized", "packed", "reference",
-        )
-        # The concrete (post-resolution) engines the Monte-Carlo layer runs.
-        assert ENGINES == ("compiled", "vectorized", "reference")
+        assert ENGINES == ("auto", "compiled", "vectorized", "reference")
 
-    def test_packed_alias_folds_to_vectorized(self):
-        assert canonical_engine("packed") == "vectorized"
-        for name in MAPPING_ENGINES:
+    def test_names_validate_to_themselves(self):
+        # One vocabulary: nothing is folded, and the old per-layer
+        # spellings (the retired ``packed`` alias among them) are unknown.
+        for name in ENGINES:
             assert canonical_engine(name) == name
+        for name in ("packed", "object", "batch"):
+            with pytest.raises(ExperimentError, match="unknown engine"):
+                canonical_engine(name)
 
     def test_unknown_engine_rejected_naming_choices(self):
         with pytest.raises(ExperimentError, match="'warp'") as excinfo:
             canonical_engine("warp")
         message = str(excinfo.value)
-        for choice in ENGINE_CHOICES:
+        for choice in ENGINES:
             assert choice in message
 
     def test_resolution_is_always_concrete(self):
         assert resolve_mapping_engine("vectorized") == "vectorized"
         assert resolve_mapping_engine("reference") == "reference"
-        assert resolve_mapping_engine("packed") == "vectorized"
         for name in ("auto", "compiled"):
             assert resolve_mapping_engine(name) in ("compiled", "vectorized")
 
@@ -142,10 +135,11 @@ class TestEngineRegistry:
         assert resolve_mapping_engine("auto") == "vectorized"
         assert resolve_mapping_engine("compiled") == "vectorized"
         assert resolve_mapping_engine("reference") == "reference"
-        # The Boolean side degrades compiled -> packed -> object.
-        assert resolve_boolean_engine("auto", 5) == "packed"
-        assert resolve_boolean_engine("compiled", 5) == "packed"
-        assert resolve_boolean_engine("auto", 25) == "object"
+        # The Boolean side degrades the same way, and to the reference
+        # walk beyond its truth-table width.
+        assert resolve_boolean_engine("auto", 5) == "vectorized"
+        assert resolve_boolean_engine("compiled", 5) == "vectorized"
+        assert resolve_boolean_engine("auto", 25) == "reference"
 
     def test_kill_switch_disables_the_tier(self, clean_backend):
         clean_backend.setenv("REPRO_COMPILED", "off")
@@ -161,9 +155,6 @@ class TestEngineRegistry:
             algorithms=("hybrid",), workers=1, engine="auto",
         )
         assert result.engine == "vectorized"
-
-    def test_boolean_engine_names(self):
-        assert BOOLEAN_ENGINES == ("auto", "compiled", "packed", "object")
 
 
 # ----------------------------------------------------------------------
@@ -572,13 +563,13 @@ class TestCompiledEngineParity:
                     num_inputs=num_inputs, min_products=1,
                     max_products=3 * num_inputs,
                 )
-                cover = random_cover(spec, rng, engine="object")
+                cover = random_cover(spec, rng, engine="reference")
                 strings = {
                     engine: minimize_cover(cover, engine=engine).to_strings()
-                    for engine in ("object", "packed", "compiled")
+                    for engine in ("reference", "vectorized", "compiled")
                 }
-                assert strings["compiled"] == strings["packed"]
-                assert strings["compiled"] == strings["object"]
+                assert strings["compiled"] == strings["vectorized"]
+                assert strings["compiled"] == strings["reference"]
 
     def test_minimize_empty_and_tautology(self):
         assert minimize_cover(Cover.zero(4), engine="compiled").is_empty()
@@ -712,16 +703,10 @@ class TestCrossEngineCheckpointResume:
 
 
 # ----------------------------------------------------------------------
-# CLI alias acceptance on every subcommand
+# CLI engine names on every subcommand
 # ----------------------------------------------------------------------
 class TestCLIEngineAliases:
-    @pytest.fixture
-    def scenario_file(self, tmp_path):
-        path = tmp_path / "tiny.json"
-        path.write_text(tiny_scenario(samples=3).to_json())
-        return path
-
-    @pytest.mark.parametrize("spelling", ENGINE_CHOICES)
+    @pytest.mark.parametrize("spelling", ENGINES)
     def test_every_subcommand_parses_every_spelling(self, spelling):
         parser = build_parser()
         for argv in (
@@ -729,49 +714,19 @@ class TestCLIEngineAliases:
             ["analyze", "yield", "--engine", spelling],
             ["serve", "--engine", spelling],
         ):
-            args = parser.parse_args(argv)
-            assert canonical_engine(args.engine) in MAPPING_ENGINES
+            assert parser.parse_args(argv).engine == spelling
 
     def test_unknown_engine_rejected_at_parse_time(self, capsys):
         parser = build_parser()
-        for argv in (
-            ["run", "sweep", "--engine", "warp"],
-            ["analyze", "yield", "--engine", "warp"],
-            ["serve", "--engine", "warp"],
-        ):
-            with pytest.raises(SystemExit):
-                parser.parse_args(argv)
+        for spelling in ("warp", "packed", "object", "batch"):
+            for argv in (
+                ["run", "sweep", "--engine", spelling],
+                ["analyze", "yield", "--engine", spelling],
+                ["serve", "--engine", spelling],
+            ):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
         capsys.readouterr()
-
-    def test_run_accepts_packed_alias(self, scenario_file, tmp_path, capsys):
-        code = main(
-            [
-                "run", str(scenario_file), "--workers", "1",
-                "--jsonl", str(tmp_path / "artifacts.jsonl"),
-                "--engine", "packed",
-            ]
-        )
-        assert code == 0
-        assert "Psucc[hybrid]" in capsys.readouterr().out
-
-    def test_analyze_accepts_packed_alias(self, tmp_path, capsys):
-        code = main(
-            [
-                "analyze", "yield", "--tolerance", "0.2",
-                "--max-samples", "8",
-                "--jsonl", str(tmp_path / "artifacts.jsonl"),
-                "--engine", "packed",
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-
-    def test_serve_runtime_folds_the_alias(self, tmp_path):
-        orchestrator = Orchestrator(
-            CheckpointStore(tmp_path / "ckpt"), workers=1, engine="packed"
-        )
-        assert orchestrator.engine == "vectorized"
-        orchestrator.shutdown()
 
     def test_serve_rejects_unknown_engine(self, tmp_path):
         with pytest.raises(ExperimentError, match="unknown engine"):
