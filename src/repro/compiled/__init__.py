@@ -13,15 +13,18 @@ tensor they read:
   batched across every sample the structural screen passes in one
   native call;
 * the distance-1 cube-merge pass of the packed Boolean minimiser;
-* the built-in ``uniform`` defect model's draws for a whole chunk, on
-  a port of CPython's MT19937 that replays ``random.Random``'s stream.
+* the built-in ``uniform`` defect model's draws for a whole chunk:
+  every sample's stream seed on a BLAKE2b written from RFC 7693, then
+  the draws on a port of CPython's MT19937 that replays
+  ``random.Random``'s stream.
 
 One backend implements them, ``"cext"``: :mod:`repro.compiled._kernels.c`
 built once with the system C compiler into a cached shared library and
 driven through :mod:`ctypes` (no build-time dependency beyond ``cc``).
 :mod:`repro.compiled._kernels_py` is the plain-Python oracle of the
-mapping and merge kernels, run only by the test suite; the defect draw's
-oracle is :func:`repro.defects.injection.inject_uniform` itself.
+mapping and merge kernels, run only by the test suite; the seed
+streams' oracle is :func:`repro.api.seeding.derive_seed` and the defect
+draw's is :func:`repro.defects.injection.inject_uniform` itself.
 
 When the backend cannot load the compiled tier is simply *absent*:
 :func:`compiled_available` returns ``False`` and the resolvers of
@@ -89,15 +92,19 @@ def get_kernels():
 
     The object exposes ``backend`` (name), ``compatibility_tensor(fm_rows,
     cm_stack)``, ``map_builtin_batch(compat, closed, num_minterms,
-    kind=...)``, ``merge_distance_one(values)`` and
+    kind=...)``, ``merge_distance_one(values)``,
+    ``uniform_stream_seeds(root, domain, start, stop)`` and
     ``inject_uniform_batch(stream_seeds, rows, columns, rate=...,
     stuck_open_fraction=...)`` — see :mod:`repro.compiled.cext` and the
     oracle module for the exact array contracts.  ``map_builtin_batch``
     always checks each assignment its greedy and hybrid modes find and
     returns the verdicts as its ``valid`` array (exact mode only decides
-    existence, so its ``valid`` stays 1).  ``inject_uniform_batch``
-    returns the ``(functional, closed_rows, closed_columns)`` tensors of
-    what ``random.Random(stream_seed)`` draws under
+    existence, so its ``valid`` stays 1).  ``uniform_stream_seeds``
+    returns ``derive_seed(derive_seed(root, i), domain)`` for every
+    ``i`` in ``[start, stop)`` as a uint64 array (any int ``root``,
+    ``0 <= start <= stop <= 2**64``).  ``inject_uniform_batch`` returns
+    the ``(functional, closed_rows, closed_columns)`` tensors of what
+    ``random.Random(stream_seed)`` draws under
     :func:`repro.defects.injection.draw_uniform`, one sample per seed.
     """
     return _ensure()[1]

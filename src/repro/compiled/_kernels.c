@@ -4,11 +4,12 @@
  * function for function; that module documents the array contracts
  * and the parity obligations.  The compatibility tensor is held to
  * repro.mapping.matching.compatibility_tensor, the NumPy tier's
- * implementation, and the uniform defect draw to
- * repro.defects.injection.inject_uniform, which it transcribes.  Built
- * by repro/compiled/cext.py with the system C compiler into a cached
- * shared library and driven through ctypes — no Python.h, so any plain
- * `cc -O2 -fPIC -shared` works.
+ * implementation, the seed streams to repro.api.seeding.derive_seed,
+ * whose BLAKE2b is written here from RFC 7693, and the uniform defect
+ * draw to repro.defects.injection.inject_uniform, which it transcribes.
+ * Built by repro/compiled/cext.py with the system C compiler into a
+ * cached shared library and driven through ctypes — no Python.h, so
+ * any plain `cc -O2 -fPIC -shared` works.
  */
 
 #include <stdint.h>
@@ -385,8 +386,153 @@ int64_t repro_merge_distance_one(const uint8_t *values, int64_t num_cubes,
     return count;
 }
 
+/* BLAKE2b as repro.api.seeding.derive_seed runs it: an 8-byte digest,
+ * no key, the personal string "repro-seeds".  Written from RFC 7693. */
+
+static const uint64_t blake2b_iv[8] = {
+    0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL,
+    0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL,
+    0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL,
+    0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL,
+};
+
+static const uint8_t blake2b_sigma[10][16] = {
+    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
+    {11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
+    {7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
+    {9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
+    {2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
+    {12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
+    {13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
+    {6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
+    {10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0},
+};
+
+/* The personal string, zero-padded to its 16 parameter bytes. */
+static const uint8_t blake2b_personal[16] = "repro-seeds";
+
+#define SEED_MASK (((uint64_t)1 << 63) - 1)
+
+static uint64_t load64_le(const uint8_t *p) {
+    uint64_t w = 0;
+    for (int j = 7; j >= 0; j--)
+        w = w << 8 | p[j];
+    return w;
+}
+
+static uint64_t rotr64(uint64_t w, int c) {
+    return w >> c | w << (64 - c);
+}
+
+#define B2B_G(a, b, c, d, x, y)                   \
+    do {                                          \
+        v[a] = v[a] + v[b] + (x);                 \
+        v[d] = rotr64(v[d] ^ v[a], 32);           \
+        v[c] = v[c] + v[d];                       \
+        v[b] = rotr64(v[b] ^ v[c], 24);           \
+        v[a] = v[a] + v[b] + (y);                 \
+        v[d] = rotr64(v[d] ^ v[a], 16);           \
+        v[c] = v[c] + v[d];                       \
+        v[b] = rotr64(v[b] ^ v[c], 63);           \
+    } while (0)
+
+/* The compression function F on one 128-byte block; `bytes` is the
+ * message length hashed so far (the counter's high word stays 0). */
+static void blake2b_compress(uint64_t h[8], const uint8_t *block,
+                             uint64_t bytes, int last) {
+    uint64_t v[16], m[16];
+    for (int i = 0; i < 16; i++)
+        m[i] = load64_le(block + 8 * i);
+    for (int i = 0; i < 8; i++) {
+        v[i] = h[i];
+        v[i + 8] = blake2b_iv[i];
+    }
+    v[12] ^= bytes;
+    if (last)
+        v[14] = ~v[14];
+    for (int round = 0; round < 12; round++) {
+        const uint8_t *s = blake2b_sigma[round % 10];
+        B2B_G(0, 4, 8, 12, m[s[0]], m[s[1]]);
+        B2B_G(1, 5, 9, 13, m[s[2]], m[s[3]]);
+        B2B_G(2, 6, 10, 14, m[s[4]], m[s[5]]);
+        B2B_G(3, 7, 11, 15, m[s[6]], m[s[7]]);
+        B2B_G(0, 5, 10, 15, m[s[8]], m[s[9]]);
+        B2B_G(1, 6, 11, 12, m[s[10]], m[s[11]]);
+        B2B_G(2, 7, 8, 13, m[s[12]], m[s[13]]);
+        B2B_G(3, 4, 9, 14, m[s[14]], m[s[15]]);
+    }
+    for (int i = 0; i < 8; i++)
+        h[i] ^= v[i] ^ v[i + 8];
+}
+
+/* derive_seed of one encoded message: the digest's 8 bytes read
+ * big-endian, masked to 63 bits. */
+static uint64_t seed_digest(const uint8_t *msg, size_t len) {
+    uint64_t h[8];
+    uint8_t last[128];
+    memcpy(h, blake2b_iv, sizeof h);
+    h[0] ^= 0x01010000U | 8; /* fanout 1, depth 1, no key, 8-byte digest */
+    h[6] ^= load64_le(blake2b_personal);
+    h[7] ^= load64_le(blake2b_personal + 8);
+    size_t done = 0;
+    for (; len - done > 128; done += 128)
+        blake2b_compress(h, msg + done, done + 128, 0);
+    memset(last, 0, sizeof last);
+    memcpy(last, msg + done, len - done);
+    blake2b_compress(h, last, len, 1);
+    uint64_t seed = 0;
+    for (int j = 0; j < 8; j++)
+        seed = seed << 8 | (h[0] >> (8 * j) & 0xff);
+    return seed & SEED_MASK;
+}
+
+/* str(n): n's decimal digits at out; returns their count. */
+static size_t put_decimal(uint8_t *out, uint64_t n) {
+    uint8_t reversed[20];
+    size_t len = 0;
+    do {
+        reversed[len++] = (uint8_t)('0' + n % 10);
+        n /= 10;
+    } while (n);
+    for (size_t k = 0; k < len; k++)
+        out[k] = reversed[len - 1 - k];
+    return len;
+}
+
+/* out[i] = derive_seed(derive_seed(root, start + i), domain) for
+ * i < count, with root and domain encoded as derive_seed encodes its
+ * fields (a decimal integer, a length-prefixed string); start + count
+ * must not exceed 2^64.  Returns 0, or -1 on allocation failure. */
+int repro_uniform_stream_seeds(const uint8_t *root, int64_t root_len,
+                               const uint8_t *domain, int64_t domain_len,
+                               uint64_t start, int64_t count,
+                               uint64_t *out) {
+    /* "<root>,<sample>" then "<sample seed>,<domain>"; a uint64 has at
+     * most 20 digits. */
+    uint8_t *sample_msg = malloc((size_t)root_len + 21);
+    uint8_t *stream_msg = malloc((size_t)domain_len + 21);
+    if (!sample_msg || !stream_msg) {
+        free(sample_msg); free(stream_msg);
+        return -1;
+    }
+    memcpy(sample_msg, root, (size_t)root_len);
+    sample_msg[root_len] = ',';
+    for (int64_t i = 0; i < count; i++) {
+        size_t len = (size_t)root_len + 1
+                     + put_decimal(sample_msg + root_len + 1,
+                                   start + (uint64_t)i);
+        len = put_decimal(stream_msg, seed_digest(sample_msg, len));
+        stream_msg[len] = ',';
+        memcpy(stream_msg + len + 1, domain, (size_t)domain_len);
+        out[i] = seed_digest(stream_msg, len + 1 + (size_t)domain_len);
+    }
+    free(sample_msg); free(stream_msg);
+    return 0;
+}
+
 /* MT19937 as CPython's random.Random runs it: the init_by_array seeding
- * of random.seed(int) and the 53-bit doubles of random.random().  Ported
+ * of random.seed(int) and the 53-bit draws of random.random().  Ported
  * from the Matsumoto-Nishimura reference code (mt19937ar.c), which
  * carries this notice:
  *
@@ -428,88 +574,106 @@ int64_t repro_merge_distance_one(const uint8_t *values, int64_t num_cubes,
 #define MT_UPPER_MASK 0x80000000U
 #define MT_LOWER_MASK 0x7fffffffU
 
-typedef struct {
-    uint32_t state[MT_N];
-    int index;
-} mt19937;
-
-static void mt_init_genrand(mt19937 *mt, uint32_t s) {
-    uint32_t *state = mt->state;
+static void mt_init_genrand(uint32_t *state, uint32_t s) {
     state[0] = s;
     for (int i = 1; i < MT_N; i++)
         state[i] = 1812433253U * (state[i - 1] ^ (state[i - 1] >> 30))
                    + (uint32_t)i;
-    mt->index = MT_N;
 }
 
-static void mt_init_by_array(mt19937 *mt, const uint32_t *key,
-                             size_t key_length) {
-    uint32_t *state = mt->state;
-    mt_init_genrand(mt, 19650218U);
+/* init_by_array from `genrand`, init_genrand(19650218)'s state, which
+ * is the same for every key.  `prev` holds state[i - 1], so the loops
+ * never reload it. */
+static void mt_init_by_array(uint32_t *state, const uint32_t *genrand,
+                             const uint32_t *key, size_t key_length) {
+    memcpy(state, genrand, MT_N * sizeof *state);
+    uint32_t prev = state[0];
     size_t i = 1, j = 0;
     for (size_t k = MT_N > key_length ? MT_N : key_length; k; k--) {
-        state[i] = (state[i] ^ ((state[i - 1] ^ (state[i - 1] >> 30))
-                                * 1664525U))
-                   + key[j] + (uint32_t)j;
+        prev = state[i] = (state[i] ^ ((prev ^ (prev >> 30)) * 1664525U))
+                          + key[j] + (uint32_t)j;
         i++;
         j++;
         if (i >= MT_N) {
-            state[0] = state[MT_N - 1];
+            state[0] = prev;
             i = 1;
         }
         if (j >= key_length)
             j = 0;
     }
     for (size_t k = MT_N - 1; k; k--) {
-        state[i] = (state[i] ^ ((state[i - 1] ^ (state[i - 1] >> 30))
-                                * 1566083941U))
-                   - (uint32_t)i;
+        prev = state[i] = (state[i] ^ ((prev ^ (prev >> 30)) * 1566083941U))
+                          - (uint32_t)i;
         i++;
         if (i >= MT_N) {
-            state[0] = state[MT_N - 1];
+            state[0] = prev;
             i = 1;
         }
     }
     state[0] = 0x80000000U;
 }
 
-static uint32_t mt_genrand_uint32(mt19937 *mt) {
-    static const uint32_t mag01[2] = {0x0U, MT_MATRIX_A};
-    uint32_t *state = mt->state;
-    uint32_t y;
-    if (mt->index >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (state[kk] & MT_UPPER_MASK) | (state[kk + 1] & MT_LOWER_MASK);
-            state[kk] = state[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (state[kk] & MT_UPPER_MASK) | (state[kk + 1] & MT_LOWER_MASK);
-            state[kk] = state[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (state[MT_N - 1] & MT_UPPER_MASK) | (state[0] & MT_LOWER_MASK);
-        state[MT_N - 1] = state[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        mt->index = 0;
-    }
-    y = state[mt->index++];
+/* random.seed(n) for 0 <= n < 2^64: the 32-bit words of n, least
+ * significant first, and the one-word key [0] for n = 0. */
+static void mt_seed(uint32_t *state, const uint32_t *genrand, uint64_t seed) {
+    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    mt_init_by_array(state, genrand, key, key[1] ? 2 : 1);
+}
+
+/* One word of the twist: mag01[y & 1] spelled as a mask, no table. */
+static uint32_t mt_twist(uint32_t upper, uint32_t lower, uint32_t far) {
+    uint32_t y = (upper & MT_UPPER_MASK) | (lower & MT_LOWER_MASK);
+    return far ^ (y >> 1) ^ (-(y & 0x1U) & MT_MATRIX_A);
+}
+
+static uint32_t mt_temper(uint32_t y) {
     y ^= y >> 11;
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
-    y ^= y >> 18;
-    return y;
+    return y ^ y >> 18;
 }
 
-/* random.random(): a double in [0, 1) from two 32-bit words. */
-static double mt_genrand_res53(mt19937 *mt) {
-    uint32_t a = mt_genrand_uint32(mt) >> 5, b = mt_genrand_uint32(mt) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+/* Twist the whole state and temper each new word into out[], in one
+ * pass: the next MT_N words genrand_uint32 returns.  The two arrays
+ * never overlap; saying so (restrict) lets the compiler vectorize. */
+static void mt_refill(uint32_t *restrict state, uint32_t *restrict out) {
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++)
+        out[kk] = mt_temper(
+            state[kk] = mt_twist(state[kk], state[kk + 1], state[kk + MT_M]));
+    for (; kk < MT_N - 1; kk++)
+        out[kk] = mt_temper(
+            state[kk] = mt_twist(state[kk], state[kk + 1],
+                                 state[kk + (MT_M - MT_N)]));
+    out[MT_N - 1] = mt_temper(
+        state[MT_N - 1] = mt_twist(state[MT_N - 1], state[0],
+                                   state[MT_M - 1]));
 }
 
-/* random.seed(n) for 0 <= n < 2^64: the 32-bit words of n, least
- * significant first, and the one-word key [0] for n = 0. */
-static void mt_seed(mt19937 *mt, uint64_t seed) {
-    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
-    mt_init_by_array(mt, key, key[1] ? 2 : 1);
+/* random.random() as its 53-bit integer k, the draw being k / 2^53,
+ * from the next two words of out[], refilled when *next reaches its
+ * end.  Every draw takes two words and MT_N is even, so no draw
+ * straddles a refill. */
+static inline uint64_t mt_draw53(uint32_t *state, uint32_t *out, int *next) {
+    if (*next == MT_N) {
+        mt_refill(state, out);
+        *next = 0;
+    }
+    uint64_t a = out[*next] >> 5, b = out[*next + 1] >> 6;
+    *next += 2;
+    return a << 26 | b;
+}
+
+/* ceil(p * 2^53), so that k / 2^53 < p exactly when k < below53(p):
+ * p * 2^53 is exact for every p in [0, 1]. */
+static uint64_t below53(double p) {
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return (uint64_t)1 << 53;
+    double scaled = p * 9007199254740992.0;
+    uint64_t whole = (uint64_t)scaled;
+    return whole + ((double)whole < scaled);
 }
 
 /* inject_uniform's draws, one sample per stream seed: each sample
@@ -520,30 +684,39 @@ static void mt_seed(mt19937 *mt, uint64_t seed) {
  * Writes every byte of functional (num_samples x rows x columns, 1 =
  * functional), closed_rows (num_samples x rows) and closed_columns
  * (num_samples x columns), the last two 1 on lines a stuck-closed
- * defect poisons. */
-void repro_inject_uniform_batch(const uint64_t *stream_seeds,
-                                int64_t num_samples, int64_t rows,
-                                int64_t columns, double rate,
-                                double stuck_open_fraction,
-                                uint8_t *functional, uint8_t *closed_rows,
-                                uint8_t *closed_columns) {
-    mt19937 mt;
+ * defect poisons.  Returns 0, or -1 on allocation failure. */
+int repro_inject_uniform_batch(const uint64_t *stream_seeds,
+                               int64_t num_samples, int64_t rows,
+                               int64_t columns, double rate,
+                               double stuck_open_fraction,
+                               uint8_t *functional, uint8_t *closed_rows,
+                               uint8_t *closed_columns) {
+    uint32_t *genrand = malloc(3 * MT_N * sizeof(uint32_t));
+    if (!genrand)
+        return -1;
+    uint32_t *state = genrand + MT_N, *out = state + MT_N;
+    uint64_t defect_below = below53(rate);
+    uint64_t open_below = below53(stuck_open_fraction);
+    mt_init_genrand(genrand, 19650218U);
     for (int64_t s = 0; s < num_samples; s++) {
         uint8_t *cells = functional + s * rows * columns;
         uint8_t *row_closed = closed_rows + s * rows;
         uint8_t *column_closed = closed_columns + s * columns;
         memset(row_closed, 0, (size_t)rows);
         memset(column_closed, 0, (size_t)columns);
-        mt_seed(&mt, stream_seeds[s]);
+        mt_seed(state, genrand, stream_seeds[s]);
+        int next = MT_N;
         for (int64_t r = 0; r < rows; r++) {
             for (int64_t c = 0; c < columns; c++) {
-                int defect = mt_genrand_res53(&mt) < rate;
+                int defect = mt_draw53(state, out, &next) < defect_below;
                 cells[r * columns + c] = !defect;
-                if (defect && !(mt_genrand_res53(&mt) < stuck_open_fraction)) {
+                if (defect && mt_draw53(state, out, &next) >= open_below) {
                     row_closed[r] = 1;
                     column_closed[c] = 1;
                 }
             }
         }
     }
+    free(genrand);
+    return 0;
 }

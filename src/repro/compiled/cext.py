@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api.seeding import _encode_field, derive_seed
+
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
 
 #: Mapper kind → the MODE_* constant shared with the C source.
@@ -118,7 +120,12 @@ def _load(lib_path: Path) -> ctypes.CDLL:
         ctypes.c_double, ctypes.c_double,
         _U8, _U8, _U8,
     ]
-    lib.repro_inject_uniform_batch.restype = None
+    lib.repro_inject_uniform_batch.restype = ctypes.c_int
+    lib.repro_uniform_stream_seeds.argtypes = [
+        ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
+        ctypes.c_uint64, ctypes.c_int64, _U64,
+    ]
+    lib.repro_uniform_stream_seeds.restype = ctypes.c_int
     return lib
 
 
@@ -223,14 +230,39 @@ class CKernels:
         functional = np.empty((num_samples, rows, columns), dtype=np.uint8)
         closed_rows = np.empty((num_samples, rows), dtype=bool)
         closed_columns = np.empty((num_samples, columns), dtype=bool)
-        self._lib.repro_inject_uniform_batch(
+        status = self._lib.repro_inject_uniform_batch(
             seeds.ctypes.data_as(_U64), num_samples, rows, columns,
             rate, stuck_open_fraction,
             functional.ctypes.data_as(_U8),
             closed_rows.ctypes.data_as(_U8),
             closed_columns.ctypes.data_as(_U8),
         )
+        if status != 0:
+            raise MemoryError("repro_inject_uniform_batch scratch allocation")
         return functional, closed_rows, closed_columns
+
+    def uniform_stream_seeds(self, root, domain, start, stop):
+        """``derive_seed(derive_seed(root, i), domain)`` for every ``i``
+        in ``[start, stop)``, as a uint64 array.
+
+        With ``domain="inject-uniform"`` these are the stream seeds that
+        :meth:`inject_uniform_batch` takes for samples ``start`` to
+        ``stop`` of root seed ``root`` (any Python int).
+        """
+        if not 0 <= start <= stop <= 2**64:
+            raise ValueError(
+                f"sample range [{start}, {stop}) is not within [0, 2**64]"
+            )
+        root = _encode_field(root).encode()
+        domain = _encode_field(domain).encode()
+        out = np.empty(stop - start, dtype=np.uint64)
+        status = self._lib.repro_uniform_stream_seeds(
+            root, len(root), domain, len(domain), start, stop - start,
+            out.ctypes.data_as(_U64),
+        )
+        if status != 0:
+            raise MemoryError("repro_uniform_stream_seeds scratch allocation")
+        return out
 
 
 def kernels() -> CKernels:
@@ -257,4 +289,8 @@ def kernels() -> CKernels:
         [0], 1, 1, rate=0.9, stuck_open_fraction=0.5
     )
     assert [a.tolist() for a in drawn] == [[[[0]]], [[True]], [[True]]]
+    seeds = backend.uniform_stream_seeds(-7, "inject-uniform", 3, 5)
+    assert seeds.tolist() == [
+        derive_seed(derive_seed(-7, index), "inject-uniform") for index in (3, 4)
+    ]
     return backend

@@ -15,10 +15,14 @@ sample's **global** index — draws, so the generated defect maps are
 bit-identical to the per-object path for any defect model, any worker
 count and any chunking.  By default each sample is injected with that
 very call.  Given loaded compiled ``kernels``, the built-in ``uniform``
-model (the paper's §V protocol) instead draws the whole chunk's tensors
-in one native call that replays ``random.Random``'s stream
-(:func:`~repro.defects.injection.inject_uniform_batch`).  A batch keeps
-the tensors only, never the per-sample :class:`DefectMap` objects.
+model (the paper's §V protocol) instead goes from the root seed and the
+chunk's index range to its tensors in two native calls
+(:func:`~repro.defects.injection.inject_uniform_batch`): one derives
+every sample's stream seed, ``derive_seed(derive_seed(seed, index),
+"inject-uniform")``, bit for bit, and one replays ``random.Random``'s
+stream from those seeds.  Only the per-sample path calls
+:func:`~repro.api.seeding.derive_seed` in Python.  A batch keeps the
+tensors only, never the per-sample :class:`DefectMap` objects.
 
 The Monte-Carlo runner draws one batch per chunk and maps it bank by
 bank: :meth:`DefectBatch.restricted_to_rows` is the batched
@@ -116,12 +120,11 @@ class DefectBatch:
         columns exactly like the serial Monte-Carlo loop does.
         ``kernels`` is a loaded :mod:`repro.compiled` backend (or
         ``None``); with it, the built-in ``uniform`` model without spare
-        columns is drawn in one native call.
+        columns is drawn natively, seed streams included.
         """
         spare_columns = required_columns is not None and columns > required_columns
         width = required_columns if spare_columns else columns
         count = stop - start
-        seeds = [derive_seed(seed, index) for index in range(start, stop)]
         dropped = np.zeros(count, dtype=bool)
         profile = None
         if kernels is not None and not spare_columns:
@@ -131,14 +134,17 @@ class DefectBatch:
             profile = builtin_uniform_profile(model)
         if profile is not None:
             functional, closed_rows, closed_columns = inject_uniform_batch(
-                rows, columns, profile, seeds, kernels=kernels
+                rows, columns, profile, seed=seed, start=start, stop=stop,
+                kernels=kernels,
             )
         else:
             functional = np.ones((count, rows, width), dtype=np.uint8)
             closed_rows = np.zeros((count, rows), dtype=bool)
             closed_columns = np.zeros((count, width), dtype=bool)
-            for offset, sample_seed in enumerate(seeds):
-                defect_map = model.inject(rows, columns, seed=sample_seed)
+            for offset, index in enumerate(range(start, stop)):
+                defect_map = model.inject(
+                    rows, columns, seed=derive_seed(seed, index)
+                )
                 if spare_columns:
                     defect_map = repair_spare_columns(defect_map, required_columns)
                     if defect_map is None:

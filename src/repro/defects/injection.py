@@ -83,19 +83,25 @@ def inject_uniform_batch(
     rows: int,
     columns: int,
     profile: DefectProfile,
-    seeds: Iterable[int],
     *,
+    seed: int,
+    start: int,
+    stop: int,
     kernels,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`inject_uniform` for every seed in ``seeds``, in one native call.
+    """:func:`inject_uniform` for samples ``[start, stop)`` of root ``seed``.
 
-    Returns the ``(functional, closed_rows, closed_columns)`` tensors
-    that the maps' :meth:`~repro.defects.defect_map.DefectMap.to_arrays`
-    would give, stacked one sample per seed.  ``kernels`` is a loaded
-    :mod:`repro.compiled` backend.
+    Sample ``i`` is ``inject_uniform(rows, columns, profile,
+    seed=derive_seed(seed, i))``.  Returns the ``(functional,
+    closed_rows, closed_columns)`` tensors that the maps'
+    :meth:`~repro.defects.defect_map.DefectMap.to_arrays` would give,
+    stacked one sample per index, from two native calls: one derives
+    every sample's stream seed, the other draws from them.  ``kernels``
+    is a loaded :mod:`repro.compiled` backend.
     """
+    stream_seeds = kernels.uniform_stream_seeds(seed, _UNIFORM_DOMAIN, start, stop)
     return kernels.inject_uniform_batch(
-        [derive_seed(seed, _UNIFORM_DOMAIN) for seed in seeds],
+        stream_seeds,
         rows,
         columns,
         rate=profile.rate,

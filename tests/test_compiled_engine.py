@@ -23,6 +23,7 @@ Covers the ISSUE 8 acceptance matrix:
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.api.defect_models import (
 )
 from repro.api.runner import run_scenario
 from repro.api.scenarios import FunctionSource, Scenario
+from repro.api.seeding import derive_seed
 from repro.boolean.cover import Cover
 from repro.boolean.minimize import minimize_cover
 from repro.boolean.packed import _merge_distance_one_values
@@ -296,6 +298,25 @@ class TestLoadedBackend:
             )
 
 
+def _int_id(value: int) -> str:
+    """A test id for an int: its digits, or their count when there are many."""
+    digits = str(abs(value))
+    if len(digits) <= 20:
+        return str(value)
+    return f"{'-' if value < 0 else ''}{len(digits)}digits"
+
+
+#: Sample starts at the edges of the decimal and uint64 ranges.
+EDGE_STARTS = [0, 2**32 - 1, 2**63 - 16, 2**64 - 4]
+#: Decimal roots whose first message, "<root>,<start>", is 127, 128, 129
+#: or 256 bytes long: BLAKE2b's last-block cases.
+SIZED_ROOTS = [
+    (10 ** (length - 2 - len(str(start))), start)
+    for start in EDGE_STARTS
+    for length in (127, 128, 129, 256)
+]
+
+
 @requires_backend
 class TestNativeUniformDraw:
     """The native uniform draw against ``random.Random`` and the per-sample path."""
@@ -321,7 +342,12 @@ class TestNativeUniformDraw:
     )
     def test_batch_matches_per_sample_path(self, rows, columns, samples):
         kernels = compiled.get_kernels()
-        for rate in (0.0, 0.02, 0.1, 0.5, 1.0):
+        # The last five sit next to a threshold the kernel rounds up.
+        for rate in (
+            0.0, 0.02, 0.1, 0.5, 1.0,
+            5e-324, 1e-300, math.nextafter(0.1, 0), math.nextafter(0.1, 1),
+            1 - 2**-53,
+        ):
             for fraction in (1.0, 0.7, 0.0):
                 model = create_defect_model(
                     "uniform", rate=rate, stuck_open_fraction=fraction
@@ -337,6 +363,25 @@ class TestNativeUniformDraw:
                     got, want = getattr(native, name), getattr(oracle, name)
                     assert got.dtype == want.dtype, name
                     assert np.array_equal(got, want), (name, rate, fraction)
+
+    @pytest.mark.parametrize("raw", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_rate_threshold_is_exact(self, raw):
+        kernels = compiled.get_kernels()
+        rng = random.Random(raw)
+        rate_draw, kind_draw = rng.random(), rng.random()
+
+        def first_crosspoint(rate, fraction):
+            functional, closed_rows, _ = kernels.inject_uniform_batch(
+                [raw], 1, 1, rate=rate, stuck_open_fraction=fraction
+            )
+            return int(functional[0, 0, 0]), bool(closed_rows[0, 0])
+
+        # A draw equal to the rate is not below it; one ulp more is.
+        assert first_crosspoint(rate_draw, 1.0) == (1, False)
+        assert first_crosspoint(math.nextafter(rate_draw, 1), 1.0) == (0, False)
+        # The same for the kind draw: stuck-closed unless below the fraction.
+        assert first_crosspoint(1.0, kind_draw) == (0, True)
+        assert first_crosspoint(1.0, math.nextafter(kind_draw, 1)) == (0, False)
 
     @pytest.fixture
     def overridden_uniform(self):
@@ -369,6 +414,43 @@ class TestNativeUniformDraw:
                 (batch.functional, batch.closed_rows, batch.closed_columns), want
             ):
                 assert np.array_equal(got[offset], expected)
+
+    @pytest.mark.parametrize(
+        "root, start",
+        [
+            (root, start)
+            for root in (0, 1, -1, 2**63 - 1, 2**64 + 5, -(10**200), 10**300)
+            for start in EDGE_STARTS
+        ]
+        + SIZED_ROOTS,
+        ids=_int_id,
+    )
+    def test_stream_seeds_match_derive_seed(self, root, start):
+        stop = min(start + 8, 2**64)
+        got = compiled.get_kernels().uniform_stream_seeds(
+            root, "inject-uniform", start, stop
+        )
+        assert got.dtype == np.uint64
+        assert got.tolist() == [
+            derive_seed(derive_seed(root, index), "inject-uniform")
+            for index in range(start, stop)
+        ]
+
+    @pytest.mark.parametrize(
+        "start, stop", [(-1, 4), (5, 4), (0, 2**64 + 1)],
+        ids=["negative-start", "stop-before-start", "stop-past-2**64"],
+    )
+    def test_stream_seeds_reject_ranges_outside_uint64(self, start, stop):
+        with pytest.raises(ValueError, match="sample range"):
+            compiled.get_kernels().uniform_stream_seeds(
+                7, "inject-uniform", start, stop
+            )
+
+    def test_stream_seeds_accept_an_empty_range_at_2_64(self):
+        got = compiled.get_kernels().uniform_stream_seeds(
+            7, "inject-uniform", 2**64, 2**64
+        )
+        assert got.shape == (0,) and got.dtype == np.uint64
 
     def test_rejects_arguments_the_kernel_would_overrun(self):
         kernels = compiled.get_kernels()
