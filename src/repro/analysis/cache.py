@@ -46,11 +46,13 @@ def store_analysis(
     *,
     elapsed_seconds: float = 0.0,
 ) -> str:
-    """Persist one analysis result under its spec hash; returns the hash."""
+    """Persist one analysis result under its spec hash; returns the hash.
+
+    The one-row block lands in one locked append, so a reader sharing
+    the store never sees its ``begin`` without its ``end``.
+    """
     spec_hash = analysis_spec_hash(spec)
-    store.begin(spec_hash, spec)
-    store.append_row(spec_hash, 0, payload)
-    store.finish(spec_hash, rows=1, elapsed_seconds=elapsed_seconds)
+    store.write_block(spec_hash, spec, [payload], elapsed_seconds=elapsed_seconds)
     return spec_hash
 
 

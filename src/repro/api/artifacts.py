@@ -17,15 +17,19 @@ complete block per hash, so the file doubles as a run log.
 
 The format is deliberately line-oriented: artifacts can be grepped,
 ``tail -f``'d during long campaigns, concatenated across machines and
-post-processed with ``jq`` without any repro code.
+post-processed with ``jq`` without any repro code.  A store object
+reads the same way: each :meth:`ArtifactStore.scan` decodes only the
+lines appended since the last one.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 try:  # POSIX advisory locks; absent on some platforms.
@@ -70,55 +74,129 @@ class ArtifactRecord:
 class ArtifactStore:
     """A JSONL file of scenario artifacts, keyed by spec content hash."""
 
+    #: Bytes kept from just before the folded offset.  A scan that finds
+    #: them changed knows the file was rewritten in place, not appended
+    #: to, and folds it again from the start.
+    TAIL_CHECK_BYTES = 4096
+
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._scan_key: tuple[int, int] | None = None
-        self._scan_cache: dict[str, ArtifactRecord] = {}
+        # Handler threads of ``repro serve`` read while its loop thread
+        # reads and appends; one fold runs at a time.
+        self._lock = threading.Lock()
+        self._restart(None)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
+    def _restart(self, identity: tuple[int, int] | None) -> None:
+        """Forget the fold: the next read starts at offset 0."""
+        self._identity = identity
+        self._offset = 0
+        self._lines = 0
+        self._tail = b""
+        self._records: dict[str, ArtifactRecord] = {}
+        self._seen: tuple | None = None
+        self._scanned: dict[str, ArtifactRecord] = {}
+
     def scan(self) -> dict[str, ArtifactRecord]:
         """Decode the store into ``{hash: latest record}``.
 
-        Malformed lines (e.g. a truncated final line from a killed run)
-        are skipped with a :class:`RuntimeWarning` naming the file and
-        line rather than poisoning the whole store.  The decoded
-        result is cached against the file's ``(mtime_ns, size)`` so an
-        all-cached suite re-run parses a long-lived store once, not once
-        per scenario; treat the returned records as read-only.
+        The file is append-only, so the store folds it incrementally:
+        it keeps the byte offset and line count of the last
+        newline-terminated line it decoded, the file's ``(st_dev,
+        st_ino)`` and the :data:`TAIL_CHECK_BYTES` before that offset,
+        and each scan decodes only the bytes appended since.  A new
+        inode (the file was replaced), a file shorter than the offset
+        (truncated) or changed tail bytes (rewritten in place) restart
+        the fold at offset 0, which is the same code as a first scan.
+        A final line without a newline (a crash-truncated or
+        still-being-written record) never enters the kept fold: it is
+        decoded into this scan's result only, and read again next time.
+
+        Malformed lines are skipped with a :class:`RuntimeWarning`
+        naming the file and line rather than poisoning the whole store;
+        the fold reports each one when it first reaches it.  A scan
+        that finds the file unchanged returns the previous result, and
+        any other scan a fresh dict; treat the records as read-only.
         """
-        try:
-            stat = self.path.stat()
-        except OSError:
-            self._scan_key = None
-            self._scan_cache = {}
-            return {}
-        key = (stat.st_mtime_ns, stat.st_size)
-        if key == self._scan_key:
-            return self._scan_cache
-        records: dict[str, ArtifactRecord] = {}
-        with self.path.open() as handle:
-            lines = handle.readlines()
-        for number, line in enumerate(lines, start=1):
-            trailing = number == len(lines) and not line.endswith("\n")
-            line = line.strip()
-            if not line:
-                continue
+        with self._lock:
             try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                warnings.warn(
-                    f"skipping {'crash-truncated final' if trailing else 'malformed'} "
-                    f"record at {self.path}:{number}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            self._decode_entry(records, entry)
-        self._scan_key = key
-        self._scan_cache = records
+                handle = self.path.open("rb")
+            except (FileNotFoundError, NotADirectoryError):
+                self._restart(None)
+                return {}
+            with handle:
+                return self._fold(handle)
+
+    def _fold(self, handle) -> dict[str, ArtifactRecord]:
+        stat = os.fstat(handle.fileno())
+        identity = (stat.st_dev, stat.st_ino)
+        seen = (identity, stat.st_size, stat.st_mtime_ns)
+        if seen == self._seen:
+            return self._scanned
+        if (
+            identity != self._identity
+            or stat.st_size < self._offset
+            or not self._tail_intact(handle)
+        ):
+            self._restart(identity)
+        handle.seek(self._offset)
+        number, torn = self._lines, None
+        for line in handle:
+            number += 1
+            if not line.endswith(b"\n"):
+                torn = line
+                break
+            self._decode_line(self._records, line, number, trailing=False)
+            self._offset += len(line)
+            self._lines = number
+        start = max(0, self._offset - self.TAIL_CHECK_BYTES)
+        handle.seek(start)
+        self._tail = handle.read(self._offset - start)
+        # Incomplete records are the only ones a later fold mutates, so
+        # the result gets copies of those; complete records are shared.
+        records = {
+            spec_hash: (
+                record if record.complete else replace(record, rows=list(record.rows))
+            )
+            for spec_hash, record in self._records.items()
+        }
+        if torn is not None:
+            self._decode_line(records, torn, number, trailing=True)
+        self._seen = seen
+        self._scanned = records
         return records
+
+    def _tail_intact(self, handle) -> bool:
+        """Whether the bytes just before the folded offset are unchanged."""
+        handle.seek(self._offset - len(self._tail))
+        return handle.read(len(self._tail)) == self._tail
+
+    def _decode_line(
+        self,
+        records: dict[str, ArtifactRecord],
+        line: bytes,
+        number: int,
+        *,
+        trailing: bool,
+    ) -> None:
+        line = line.strip()
+        if not line:
+            return
+        try:
+            entry = json.loads(line)
+        except ValueError:  # not JSON, or not UTF-8
+            entry = None
+        if not isinstance(entry, dict):
+            warnings.warn(
+                f"skipping {'crash-truncated final' if trailing else 'malformed'} "
+                f"record at {self.path}:{number}",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            return
+        self._decode_entry(records, entry)
 
     @staticmethod
     def _decode_entry(records: dict[str, ArtifactRecord], entry: dict) -> None:
@@ -137,9 +215,14 @@ class ArtifactStore:
         elif kind == "end":
             record = records.get(spec_hash)
             if record is not None and len(record.rows) == entry.get("rows"):
-                record.complete = True
-                record.elapsed_seconds = entry.get("elapsed_seconds", 0.0)
-                record.workers = entry.get("workers", 1)
+                # A new object: earlier scans' results share complete
+                # records, so a repeated end marker must not mutate one.
+                records[spec_hash] = replace(
+                    record,
+                    complete=True,
+                    elapsed_seconds=entry.get("elapsed_seconds", 0.0),
+                    workers=entry.get("workers", 1),
+                )
 
     def load(self, spec_hash: str) -> ArtifactRecord | None:
         """The latest *complete* record for a hash, or ``None``."""
@@ -181,9 +264,9 @@ class ArtifactStore:
         opening a block for the same hash mid-stream would orphan the
         first block's rows.  Writers that already hold their rows (the
         service orchestrator checkpoints chunks elsewhere and publishes
-        only finished results here) use this method instead: the whole
-        block lands contiguously, so concurrent publishers can share a
-        store safely.
+        only finished results here; the analysis cache stores one row)
+        use this method instead: the whole block lands contiguously, so
+        concurrent publishers can share a store safely.
         """
         entries: list[dict] = [{"kind": "begin", "hash": spec_hash, "spec": spec}]
         entries.extend(

@@ -42,8 +42,8 @@ an entire live service.
 
 Firing limits: ``times=N`` fires a spec on the first ``N`` *attempts*.
 Worker-side points use the retry attempt threaded through
-:class:`~repro.service.jobs.ChunkJob` (worker processes hold no state,
-and a retry may land on a fresh process).  ``checkpoint.corrupt`` fires
+:class:`~repro.service.jobs.ChunkJob` (worker processes keep no job
+state, and a retry may land on a fresh process).  ``checkpoint.corrupt`` fires
 in the orchestrator process, where an in-process counter per
 ``(point, pattern, key)`` survives across writes; :func:`reset` clears
 it (tests do this between campaigns).

@@ -134,7 +134,12 @@ class ServiceClient:
     def wait(
         self, job_id: str, *, timeout: float = 300.0, poll: float = 0.05
     ) -> dict:
-        """Poll one job until it is done (or raise on failure/timeout)."""
+        """Poll one job until it is done.
+
+        Raises :class:`ExperimentError` when the job failed, when a
+        drain stopped it (``drained`` is terminal on this server; its
+        checkpoints resume on resubmission) or on timeout.
+        """
         deadline = time.monotonic() + timeout
         while True:
             status = self.status(job_id)
@@ -143,6 +148,12 @@ class ServiceClient:
             if status["status"] == "failed":
                 raise ExperimentError(
                     f"job {job_id} failed: {status.get('error')}"
+                )
+            if status["status"] == "drained":
+                raise ExperimentError(
+                    f"job {job_id} was drained before it finished; its "
+                    "checkpoints are kept, so resubmit it after the server "
+                    "restarts"
                 )
             if time.monotonic() >= deadline:
                 raise ExperimentError(

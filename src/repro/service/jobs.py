@@ -34,12 +34,15 @@ count an uninterrupted run would have.  An area job is one range,
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass
 
 from repro.api.batch import chunk_ranges
 from repro.api.runner import evaluate_area_chunk
-from repro.api.scenarios import Scenario
+from repro.api.scenarios import FunctionSource, Scenario
+from repro.boolean.function import BooleanFunction
 from repro.exceptions import ExperimentError
 from repro.experiments.monte_carlo import VECTORIZED_MIN_CHUNK, MonteCarloResult
 
@@ -47,6 +50,10 @@ from repro.experiments.monte_carlo import VECTORIZED_MIN_CHUNK, MonteCarloResult
 #: small enough to amortise per-chunk setup, large enough that a killed
 #: campaign loses little work.
 DEFAULT_CHUNKS_PER_ROW = 16
+
+#: Built circuits each worker process keeps (least recently used first
+#: out); a server session's jobs rarely name more circuits than this.
+CIRCUIT_MEMO_SIZE = 16
 
 
 def default_chunk_size(samples: int) -> int:
@@ -111,8 +118,10 @@ class ChunkJob:
     never affects the computed statistics — chunk payloads are a pure
     function of ``(spec, range, engine)`` — but it does drive the
     deterministic fault-injection hooks, which fire on the first
-    ``times`` attempts of a matching chunk (worker processes hold no
-    state, so the attempt number must travel with the job).
+    ``times`` attempts of a matching chunk.  Worker processes keep no
+    job state (their one memo, :func:`chunk_function`, holds built
+    circuits, which no attempt changes), so the attempt number must
+    travel with the job.
     """
 
     spec_hash: str
@@ -120,6 +129,26 @@ class ChunkJob:
     chunk: ChunkSpec
     engine: str = "vectorized"
     attempt: int = 0
+
+
+@functools.lru_cache(maxsize=CIRCUIT_MEMO_SIZE)
+def _built_function(source: str, seed: int) -> BooleanFunction:
+    return FunctionSource.from_dict(json.loads(source)).build(seed=seed)
+
+
+def chunk_function(scenario: Scenario) -> BooleanFunction:
+    """The scenario's function, built once per process and source.
+
+    Every chunk of a job maps the same circuit, so a pool worker builds
+    it on its first chunk and reuses it after.  The key is the source's
+    canonical JSON, plus the seed for ``random`` sources, the only kind
+    whose function depends on it.  A build that raises is not kept, so
+    it raises again on the next chunk.  :class:`BooleanFunction` is
+    immutable, so chunks can share one.
+    """
+    source = scenario.source
+    key = json.dumps(source.to_dict(), sort_keys=True, separators=(",", ":"))
+    return _built_function(key, scenario.seed if source.kind == "random" else 0)
 
 
 def execute_chunk(job: ChunkJob) -> dict:
@@ -150,7 +179,7 @@ def execute_chunk(job: ChunkJob) -> dict:
 
     extra_rows, extra_columns = scenario.redundancy[chunk.row_index]
     monte_carlo = run_mapping_monte_carlo(
-        scenario.source.build(seed=scenario.seed),
+        chunk_function(scenario),
         defect_model=scenario.resolved_defect_model(),
         sample_size=chunk.size,
         sample_offset=chunk.start,

@@ -32,7 +32,9 @@ from repro.analysis import (
     wilson_interval,
     yield_estimate,
 )
+from repro.analysis.cache import load_analysis, store_analysis
 from repro.analysis.confidence import beta_quantile, regularized_incomplete_beta
+from repro.api.artifacts import ArtifactStore
 from repro.api.runner import run_scenario
 from repro.api.scenarios import FunctionSource, Scenario
 from repro.circuits import get_benchmark
@@ -984,3 +986,28 @@ class TestAnalysisCache:
             name="x", source=FunctionSource.benchmark("misex1")
         )
         assert analysis_spec_hash(scenario.to_dict()) != scenario.content_hash()
+
+    def test_store_analysis_is_one_append_of_the_streamed_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        spec = {"analyze": "curve", "circuit": "misex1", "seed": 7}
+        payload = {"points": [{"rate": 0.1, "yield": 0.5}]}
+        streamed = ArtifactStore(tmp_path / "streamed.jsonl")
+        spec_hash = analysis_spec_hash(spec)
+        streamed.begin(spec_hash, spec)
+        streamed.append_row(spec_hash, 0, payload)
+        streamed.finish(spec_hash, rows=1, elapsed_seconds=1.25)
+
+        store = ArtifactStore(tmp_path / "block.jsonl")
+        appends = []
+        original = ArtifactStore._append_lines
+
+        def counting(self, entries):
+            appends.append(len(entries))
+            original(self, entries)
+
+        monkeypatch.setattr(ArtifactStore, "_append_lines", counting)
+        assert store_analysis(store, spec, payload, elapsed_seconds=1.25) == spec_hash
+        assert appends == [3]
+        assert store.path.read_bytes() == streamed.path.read_bytes()
+        assert load_analysis(store, spec) == payload

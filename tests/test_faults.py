@@ -584,6 +584,34 @@ class TestDrain:
             server.server_close()
             thread.join(timeout=10)
 
+    def test_client_wait_stops_at_a_drained_job(self, tmp_path, monkeypatch):
+        # Slow chunks keep the job in flight while the drain lands.
+        arm(monkeypatch, FaultSpec(point="chunk.slow", seconds=0.05, times=1))
+        server = make_server(
+            Orchestrator(
+                CheckpointStore(tmp_path / "ckpt"), workers=1, chunk_size=4
+            )
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}", retries=0)
+        try:
+            job_id = client.submit(tiny_scenario(samples=48))["job_id"]
+            assert server.runtime.drain(timeout=30)
+            assert client.status(job_id)["status"] == DRAINED
+            began = time.monotonic()
+            with pytest.raises(ExperimentError, match="drained") as excinfo:
+                client.wait(job_id, timeout=5)
+            assert time.monotonic() - began < 2
+            assert job_id in str(excinfo.value)
+            assert "resubmit" in str(excinfo.value)
+        finally:
+            server.shutdown()
+            server.runtime.stop()
+            server.server_close()
+            thread.join(timeout=10)
+
     def test_client_connection_errors_become_service_errors(self):
         client = ServiceClient(
             "http://127.0.0.1:1", timeout=0.2, retries=1, backoff=0.01

@@ -9,11 +9,13 @@ import threading
 import pytest
 
 from repro.api.artifacts import ArtifactStore
+from repro.api.results import function_to_dict
 from repro.api.runner import run_scenario, sample_stream_length
 from repro.api.scenarios import FunctionSource, Scenario
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, ReproError
 from repro.experiments.monte_carlo import MonteCarloResult, run_mapping_monte_carlo
 from repro.service.client import ServiceClient, ServiceError
+from repro.service import jobs
 from repro.service.http import make_server
 from repro.service.jobs import (
     ChunkJob,
@@ -154,6 +156,58 @@ class TestChunkExecution:
     def test_merge_rejects_empty(self):
         with pytest.raises(ExperimentError, match="empty"):
             merge_mapping_chunks([])
+
+
+class TestCircuitMemo:
+    """``execute_chunk`` builds a job's circuit once per process."""
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        """Count ``FunctionSource.build`` calls on an empty memo."""
+        calls = []
+        original = FunctionSource.build
+
+        def counting(source, *, seed=0):
+            calls.append((source.kind, seed))
+            return original(source, seed=seed)
+
+        monkeypatch.setattr(FunctionSource, "build", counting)
+        jobs._built_function.cache_clear()
+        yield calls
+        jobs._built_function.cache_clear()
+
+    def test_one_build_for_every_chunk_of_a_job(self, builds):
+        scenario = tiny_scenario(samples=32)
+        payloads = execute_all(scenario, plan_range_chunks(0, 0, 32, 16))
+        assert len(payloads) == 2
+        assert builds == [("benchmark", 0)]
+        merged = merge_mapping_chunks([payloads[chunk] for chunk in sorted(payloads)])
+        direct = run_scenario(scenario, workers=1).monte_carlo()
+        assert merged.counting_statistics() == direct.counting_statistics()
+
+    def test_jobs_on_one_circuit_share_the_build(self, builds):
+        for seed in (1, 2):
+            execute_all(tiny_scenario(seed=seed), plan_range_chunks(0, 0, 8, 8))
+        assert builds == [("benchmark", 0)]
+
+    def test_random_sources_build_once_per_seed(self, builds):
+        source = FunctionSource.random(5, max_products=4)
+        functions = {}
+        for seed in (1, 2, 1):
+            scenario = tiny_scenario(source=source, seed=seed, samples=8)
+            functions.setdefault(seed, []).append(jobs.chunk_function(scenario))
+        assert builds == [("random", 1), ("random", 2)]
+        assert functions[1][0] is functions[1][1]
+        assert function_to_dict(functions[1][0]) != function_to_dict(functions[2][0])
+
+    def test_unknown_circuit_raises_on_every_call(self, builds):
+        scenario = tiny_scenario(source=FunctionSource.benchmark("no-such-circuit"))
+        chunk = ChunkSpec(0, 0, 8)
+        job = ChunkJob(scenario.content_hash(), scenario.to_dict(), chunk)
+        for _ in range(2):
+            with pytest.raises(ReproError, match="no-such-circuit"):
+                execute_chunk(job)
+        assert len(builds) == 2
 
 
 # ----------------------------------------------------------------------
