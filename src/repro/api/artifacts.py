@@ -10,10 +10,12 @@ records, all keyed by the scenario's :meth:`Scenario.content_hash`:
   it finished);
 * ``{"kind": "end", "hash": h, "rows": n, ...}`` — the completion marker.
 
-A scenario is *cached* when its latest ``begin`` is followed by an
-``end`` whose row count matches the rows seen.  Re-running with
-``force=True`` simply appends a fresh block; the scan keeps the latest
-complete block per hash, so the file doubles as a run log.
+A block is *complete* when its ``begin`` is followed by an ``end``
+whose row count matches the rows seen, and a scenario is *cached* while
+it has a complete block.  Re-running with ``force=True`` simply appends
+a fresh block; :meth:`ArtifactStore.load` serves the latest complete
+block per hash, so a fresh block that never finishes (a killed run)
+hides nothing, and the file doubles as a run log.
 
 The format is deliberately line-oriented: artifacts can be grepped,
 ``tail -f``'d during long campaigns, concatenated across machines and
@@ -69,6 +71,9 @@ class ArtifactRecord:
     complete: bool = False
     elapsed_seconds: float = 0.0
     workers: int = 1
+    #: While this block is unfinished: the latest complete block of the
+    #: same hash before it, which :meth:`ArtifactStore.load` serves.
+    previous: "ArtifactRecord | None" = None
 
 
 class ArtifactStore:
@@ -114,7 +119,8 @@ class ArtifactStore:
         still-being-written record) never enters the kept fold: it is
         decoded into this scan's result only, and read again next time.
 
-        Malformed lines are skipped with a :class:`RuntimeWarning`
+        Malformed lines (anything but a JSON object with a string
+        ``"hash"``) are skipped with a :class:`RuntimeWarning`
         naming the file and line rather than poisoning the whole store;
         the fold reports each one when it first reaches it.  A scan
         that finds the file unchanged returns the previous result, and
@@ -188,7 +194,7 @@ class ArtifactStore:
             entry = json.loads(line)
         except ValueError:  # not JSON, or not UTF-8
             entry = None
-        if not isinstance(entry, dict):
+        if not isinstance(entry, dict) or not isinstance(entry.get("hash"), str):
             warnings.warn(
                 f"skipping {'crash-truncated final' if trailing else 'malformed'} "
                 f"record at {self.path}:{number}",
@@ -201,12 +207,13 @@ class ArtifactStore:
     @staticmethod
     def _decode_entry(records: dict[str, ArtifactRecord], entry: dict) -> None:
         kind = entry.get("kind")
-        spec_hash = entry.get("hash")
-        if not spec_hash:
-            return
+        spec_hash = entry["hash"]
         if kind == "begin":
+            previous = records.get(spec_hash)
+            if previous is not None and not previous.complete:
+                previous = previous.previous
             records[spec_hash] = ArtifactRecord(
-                spec_hash=spec_hash, spec=entry.get("spec", {})
+                spec_hash=spec_hash, spec=entry.get("spec", {}), previous=previous
             )
         elif kind == "row":
             record = records.get(spec_hash)
@@ -222,14 +229,15 @@ class ArtifactStore:
                     complete=True,
                     elapsed_seconds=entry.get("elapsed_seconds", 0.0),
                     workers=entry.get("workers", 1),
+                    previous=None,
                 )
 
     def load(self, spec_hash: str) -> ArtifactRecord | None:
         """The latest *complete* record for a hash, or ``None``."""
         record = self.scan().get(spec_hash)
-        if record is not None and record.complete:
-            return record
-        return None
+        if record is not None and not record.complete:
+            return record.previous
+        return record
 
     def __contains__(self, spec_hash: str) -> bool:
         return self.load(spec_hash) is not None

@@ -865,7 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "samples per chunk job (default: auto, derived from each "
-            "scenario's sample count — never from the local CPU count, so "
+            "scenario's sample count and crossbar size, so a chunk holds "
+            "a few ms of work — never from the local CPU count, so "
             "checkpoints resume across machines)"
         ),
     )

@@ -15,10 +15,13 @@ Unlike the in-process :class:`~repro.api.batch.BatchRunner`, whose auto
 chunk size follows the local CPU count, service chunk plans must be
 **machine-invariant**: a campaign checkpointed on an 8-core box has to
 resume on a 2-core one with the same chunk keys.
-:func:`default_chunk_size` therefore derives the size from the sample
-count alone, and the orchestrator records the resolved size in the
-job's checkpoint spec so a resume (or an operator override) can never
-silently orphan existing checkpoints.
+:func:`default_chunk_size` therefore derives the size from the scenario
+alone: its sample count and, for a two-level mapping job, the cells of
+the crossbar it maps (:func:`crossbar_cells`), which caps a small
+crossbar's row at fewer chunks, each holding enough work to pay for its
+dispatch and its checkpoint file.  The orchestrator records the
+resolved size in the job's checkpoint spec so a resume (or an operator
+override) can never silently orphan existing checkpoints.
 
 Every mapping row shards *wave by wave*: each wave is one batch yielded
 by :func:`repro.analysis.adaptive.adaptive_loop`, the loop of
@@ -45,30 +48,53 @@ from repro.api.scenarios import FunctionSource, Scenario
 from repro.boolean.function import BooleanFunction
 from repro.exceptions import ExperimentError
 from repro.experiments.monte_carlo import VECTORIZED_MIN_CHUNK, MonteCarloResult
+from repro.mapping.function_matrix import FunctionMatrix
 
-#: Target number of chunks per result row under the default chunk size —
-#: small enough to amortise per-chunk setup, large enough that a killed
-#: campaign loses little work.
+#: Most chunks a result row splits into under the default chunk size,
+#: so a killed campaign loses little work; a mapping row over a small
+#: crossbar is capped at fewer (:data:`CHUNK_CELLS`).
 DEFAULT_CHUNKS_PER_ROW = 16
+
+#: Crossbar cells times samples worth one chunk: about 2-3 ms of
+#: compiled work, enough that dispatch, worker-side setup and the
+#: checkpoint file stop dominating it (per sample, the compiled tier's
+#: cost tracks ``rows x columns`` of the array).  A mapping row over
+#: ``cells`` cells runs as at most ``ceil(samples / ceil(CHUNK_CELLS /
+#: cells))`` chunks, which changes the plan only for arrays under
+#: ``CHUNK_CELLS / VECTORIZED_MIN_CHUNK`` = 2,048 cells.
+CHUNK_CELLS = 2**16
 
 #: Built circuits each worker process keeps (least recently used first
 #: out); a server session's jobs rarely name more circuits than this.
 CIRCUIT_MEMO_SIZE = 16
 
 
-def default_chunk_size(samples: int) -> int:
+def default_chunk_size(samples: int, cells: int | None = None) -> int:
     """Machine-invariant default chunk size for ``samples`` per row.
 
     Aims at :data:`DEFAULT_CHUNKS_PER_ROW` chunks, floored at the
     vectorized engine's amortisation minimum — deliberately *not* a
     function of the local worker count (see the module docstring).
+
+    ``cells`` is the size of the crossbar each sample maps (rows times
+    columns).  It caps the row at ``ceil(samples / ceil(CHUNK_CELLS /
+    cells))`` chunks, all of one size: rd53's 544 cells at 200 samples
+    run as 2 x 100, not 7 x 32.  The sample-count rule already gives a
+    chunk 32 samples, so the cap changes the plan only for arrays under
+    ``CHUNK_CELLS / VECTORIZED_MIN_CHUNK`` = 2,048 cells.
     """
     if samples <= 0:
         raise ExperimentError(f"samples must be positive, got {samples}")
-    return max(
+    size = max(
         min(VECTORIZED_MIN_CHUNK, samples),
         math.ceil(samples / DEFAULT_CHUNKS_PER_ROW),
     )
+    if cells is None:
+        return size
+    if cells <= 0:
+        raise ExperimentError(f"cells must be positive, got {cells}")
+    chunks = math.ceil(samples / math.ceil(CHUNK_CELLS / cells))
+    return max(size, math.ceil(samples / chunks))
 
 
 @dataclass(frozen=True, order=True)
@@ -149,6 +175,24 @@ def chunk_function(scenario: Scenario) -> BooleanFunction:
     source = scenario.source
     key = json.dumps(source.to_dict(), sort_keys=True, separators=(",", ":"))
     return _built_function(key, scenario.seed if source.kind == "random" else 0)
+
+
+def crossbar_cells(scenario: Scenario) -> int | None:
+    """Cells of the smallest crossbar any row of ``scenario`` maps.
+
+    A two-level row maps the function matrix plus its spare rows and
+    columns.  An area scenario maps no crossbar, and a multi-level one is
+    not sized here, so both have no cells (``None``) and keep the
+    sample-count rule.  The circuit comes from :func:`chunk_function`'s
+    memo, so pool workers that fork after this call inherit it.
+    """
+    if scenario.protocol == "area" or scenario.multilevel_spec() is not None:
+        return None
+    matrix = FunctionMatrix(chunk_function(scenario))
+    return min(
+        (matrix.num_rows + extra_rows) * (matrix.num_columns + extra_columns)
+        for extra_rows, extra_columns in scenario.redundancy
+    )
 
 
 def execute_chunk(job: ChunkJob) -> dict:

@@ -55,6 +55,7 @@ Chunk execution survives the failures the mapper survives in silicon
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 import warnings
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
@@ -74,6 +75,7 @@ from repro.exceptions import ExperimentError
 from repro.service.jobs import (
     ChunkJob,
     ChunkSpec,
+    crossbar_cells,
     default_chunk_size,
     execute_chunk,
     merge_mapping_chunks,
@@ -254,6 +256,11 @@ class Orchestrator:
         self._draining = False
         self._gate: asyncio.Semaphore | None = None
         self._gate_loop: asyncio.AbstractEventLoop | None = None
+        # Held by a planning thread while it builds a circuit and by the
+        # loop while it starts the pool: a fork in mid-build (say, while
+        # the build first imports the compiled tier) would hand the
+        # workers a module lock that none of their threads can release.
+        self._build_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Executor management
@@ -263,7 +270,8 @@ class Orchestrator:
             return self._executor
         workers = self.workers if self.workers is not None else auto_workers()
         # Fall back to threads where process pools are unavailable.
-        pool = start_process_pool(workers) if workers > 1 else None
+        with self._build_lock:
+            pool = start_process_pool(workers) if workers > 1 else None
         self._executor = pool or ThreadPoolExecutor(max_workers=workers)
         self._executor_workers = workers
         return self._executor
@@ -348,10 +356,13 @@ class Orchestrator:
         """Submit a scenario; concurrent identical submissions share one job.
 
         Returns immediately with the (possibly pre-existing) job;
-        :meth:`wait` awaits its completion.  A job that previously
-        failed, was drained, or completed only partially (quarantined
-        chunks under ``partial_policy="partial"``) is retried by
-        resubmission; a healthy in-flight or completed job is shared.
+        :meth:`wait` awaits its completion.  A spec whose result the
+        checkpoint store or the artifact store already holds comes back
+        ``done`` and ``cached`` at once, computing nothing.  A job that
+        previously failed, was drained, or completed only partially
+        (quarantined chunks under ``partial_policy="partial"``) is
+        retried by resubmission; a healthy in-flight or completed job is
+        shared.
         """
         if self._draining:
             raise ServiceUnavailable(
@@ -367,7 +378,16 @@ class Orchestrator:
                 return existing
         job = Job(job_id=job_id, scenario=scenario)
         self.jobs[job_id] = job
-        asyncio.create_task(self._run_job(job))
+        try:
+            job.result = self._cached_result(job)
+        except Exception as error:  # surfaced through the job, as in _run_job
+            job.error = f"{type(error).__name__}: {error}"
+        if job.result is None and job.error is None:
+            asyncio.create_task(self._run_job(job))
+            return job
+        job.status = FAILED if job.error is not None else DONE
+        job.finished_at = time.time()
+        job.done.set()
         return job
 
     async def wait(self, job_id: str) -> Job:
@@ -401,30 +421,28 @@ class Orchestrator:
         job.status = RUNNING
         started = time.perf_counter()
         try:
-            result = self._cached_result(job)
-            if result is None:
-                rows = await self._execute(job)
-                result = ScenarioResult(
-                    scenario=job.scenario,
-                    spec_hash=job.job_id,
-                    rows=rows,
-                    elapsed_seconds=time.perf_counter() - started,
-                    workers=self._executor_workers or 1,
-                )
-                if not job.partial:
-                    # A partial result (quarantined ranges) is served
-                    # but never cached: result.json / the artifact
-                    # store only ever hold complete statistics, and a
-                    # resubmission re-executes exactly the gaps.
-                    self.checkpoints.write_result(job.job_id, result.to_dict())
-                    if self.artifacts is not None:
-                        self.artifacts.write_block(
-                            job.job_id,
-                            job.scenario.to_dict(),
-                            result.rows,
-                            elapsed_seconds=result.elapsed_seconds,
-                            workers=result.workers,
-                        )
+            rows = await self._execute(job)
+            result = ScenarioResult(
+                scenario=job.scenario,
+                spec_hash=job.job_id,
+                rows=rows,
+                elapsed_seconds=time.perf_counter() - started,
+                workers=self._executor_workers or 1,
+            )
+            if not job.partial:
+                # A partial result (quarantined ranges) is served but
+                # never cached: result.json / the artifact store only
+                # ever hold complete statistics, and a resubmission
+                # re-executes exactly the gaps.
+                self.checkpoints.write_result(job.job_id, result.to_dict())
+                if self.artifacts is not None:
+                    self.artifacts.write_block(
+                        job.job_id,
+                        job.scenario.to_dict(),
+                        result.rows,
+                        elapsed_seconds=result.elapsed_seconds,
+                        workers=result.workers,
+                    )
             job.result = result
             job.status = DONE
         except asyncio.CancelledError:
@@ -454,12 +472,18 @@ class Orchestrator:
                 return ScenarioResult.from_record(record)
         return None
 
-    def _job_plan_settings(self, job: Job) -> tuple[int, str]:
+    async def _job_plan_settings(self, job: Job) -> tuple[int, str]:
         """Resolve (and persist) the job's chunk size and engine.
 
         A resumed job must re-derive the chunk keys and engine of its
         existing checkpoints, so the values recorded at first submission
-        always win over the orchestrator's current defaults.
+        always win over the orchestrator's current defaults.  A new
+        job's default chunk size reads the scenario alone (its sample
+        count and :func:`~repro.service.jobs.crossbar_cells`), so it is
+        the same on every machine.  The circuit build behind the cells
+        runs on a helper thread of this process, so HTTP calls and chunk
+        completions never wait on it, and pool workers that fork after
+        it inherit the circuit; the pool never forks during a build.
 
         A ``spec.json`` that parses but lacks a usable plan (a legacy
         or externally damaged file) must not brick the job forever: the
@@ -488,7 +512,8 @@ class Orchestrator:
                 stacklevel=2,
             )
         chunk_size = self.chunk_size or default_chunk_size(
-            sample_stream_length(scenario)
+            sample_stream_length(scenario),
+            await asyncio.to_thread(self._crossbar_cells, scenario),
         )
         self.checkpoints.write_spec(
             job.job_id,
@@ -501,8 +526,12 @@ class Orchestrator:
         )
         return chunk_size, self.engine
 
+    def _crossbar_cells(self, scenario: Scenario) -> int | None:
+        with self._build_lock:
+            return crossbar_cells(scenario)
+
     async def _execute(self, job: Job) -> list[dict]:
-        chunk_size, engine = self._job_plan_settings(job)
+        chunk_size, engine = await self._job_plan_settings(job)
         scenario = job.scenario
         if scenario.protocol == "mapping":
             return await self._execute_waves(job, chunk_size, engine)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -83,6 +84,41 @@ class TestChunkPlanning:
         with pytest.raises(ExperimentError, match="positive"):
             default_chunk_size(0)
 
+    def test_cells_floor_splits_small_crossbars_evenly(self):
+        # rd53's function matrix has 34 x 16 = 544 cells, so a chunk
+        # floors at ceil(2^16 / 544) = 121 samples: 200 run as 2 x 100.
+        assert default_chunk_size(200, 544) == 100
+        assert default_chunk_size(200, 858) == 67  # squar5: 3 chunks
+        assert default_chunk_size(100, 544) == 100  # never past the row
+        # Large arrays keep the sample-count rule: alu4 (583 x 44).
+        assert default_chunk_size(200, 25_652) == default_chunk_size(200) == 32
+        # The 16-chunk cap still sizes big budgets.
+        assert default_chunk_size(100_000, 544) == 6250
+
+    def test_default_chunk_size_rejects_empty_crossbars(self):
+        with pytest.raises(ExperimentError, match="cells"):
+            default_chunk_size(200, 0)
+
+    def test_crossbar_cells_takes_the_smallest_redundancy_row(self):
+        from repro.mapping.function_matrix import FunctionMatrix
+
+        scenario = tiny_scenario(redundancy=((2, 2), (1, 0)))
+        matrix = FunctionMatrix(jobs.chunk_function(scenario))
+        assert jobs.crossbar_cells(scenario) == (
+            (matrix.num_rows + 1) * matrix.num_columns
+        )
+
+    def test_area_and_multilevel_jobs_have_no_cells(self):
+        area = Scenario(
+            name="svc-area-cells",
+            source=FunctionSource.random(4, max_products=3),
+            protocol="area",
+            samples=200,
+        )
+        multilevel = tiny_scenario(options={"multilevel": {"strategy": "best"}})
+        assert jobs.crossbar_cells(area) is None
+        assert jobs.crossbar_cells(multilevel) is None
+
     def test_plan_covers_every_row_disjointly(self):
         for row_index in (0, 1):
             plan = plan_range_chunks(row_index, 0, 50, 16)
@@ -117,6 +153,176 @@ class TestChunkPlanning:
             ChunkSpec(0, 5, 5)
         with pytest.raises(ExperimentError):
             ChunkSpec(-1, 0, 5)
+
+
+# ----------------------------------------------------------------------
+# The default plan a job records
+# ----------------------------------------------------------------------
+def recorded_chunk_size(checkpoints: CheckpointStore, scenario: Scenario) -> int:
+    return checkpoints.read_spec(scenario.content_hash())["chunk_size"]
+
+
+def paper_protocol_rd53(**overrides) -> Scenario:
+    """The service's paper-protocol job: rd53, HBA + EA, 200 samples."""
+    spec = {"name": "svc-paper", "mappers": ("hybrid", "exact"), "samples": 200}
+    spec.update(overrides)
+    return tiny_scenario(**spec)
+
+
+class TestDefaultPlan:
+    TWO_HALVES = {ChunkSpec(0, 0, 100).key, ChunkSpec(0, 100, 200).key}
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_rd53_plans_two_chunks_of_100_on_any_machine(
+        self, tmp_path, monkeypatch, workers
+    ):
+        from repro.service import orchestrator as orchestrator_module
+
+        # The pool size the machine would pick; threads stand in for
+        # processes, so nothing forks.
+        monkeypatch.setattr(orchestrator_module, "auto_workers", lambda: workers)
+        monkeypatch.setattr(
+            orchestrator_module, "start_process_pool", lambda workers: None
+        )
+        scenario = paper_protocol_rd53()
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        job = run(submit_and_wait(Orchestrator(checkpoints), scenario))
+        assert job.status == "done", job.error
+        assert job.total_chunks == job.executed_chunks == 2
+        assert recorded_chunk_size(checkpoints, scenario) == 100
+        assert checkpoints.completed_chunks(job.job_id) == self.TWO_HALVES
+        direct = run_scenario(scenario, workers=1)
+        assert job.result.counting_statistics() == direct.counting_statistics()
+
+    def test_cells_are_worked_out_off_the_loop_thread(self, tmp_path, monkeypatch):
+        from repro.service import orchestrator as orchestrator_module
+
+        threads = []
+
+        def recording_cells(scenario):
+            threads.append(threading.current_thread())
+            return jobs.crossbar_cells(scenario)
+
+        monkeypatch.setattr(orchestrator_module, "crossbar_cells", recording_cells)
+
+        async def plan_on_this_loop():
+            orchestrator = Orchestrator(CheckpointStore(tmp_path / "ckpt"), workers=1)
+            job = await submit_and_wait(orchestrator, paper_protocol_rd53())
+            return job, threading.current_thread()
+
+        job, loop_thread = run(plan_on_this_loop())
+        assert job.status == "done", job.error
+        assert job.total_chunks == 2
+        assert len(threads) == 1 and threads[0] is not loop_thread
+
+    def test_pool_never_forks_while_a_circuit_builds(self, tmp_path, monkeypatch):
+        from repro.service import orchestrator as orchestrator_module
+
+        building = threading.Event()
+        forks_during_a_build = []
+
+        def slow_cells(scenario):
+            building.set()
+            time.sleep(0.3)
+            building.clear()
+            return jobs.crossbar_cells(scenario)
+
+        def recording_pool(workers):
+            forks_during_a_build.append(building.is_set())
+            return None  # threads stand in for the pool
+
+        monkeypatch.setattr(orchestrator_module, "crossbar_cells", slow_cells)
+        monkeypatch.setattr(orchestrator_module, "start_process_pool", recording_pool)
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        # A resumed job needs no build, so it reaches the pool at once.
+        resumed = paper_protocol_rd53(name="svc-resumed")
+        checkpoints.write_spec(
+            resumed.content_hash(),
+            {
+                "scenario": resumed.to_dict(),
+                "spec_hash": resumed.content_hash(),
+                "chunk_size": 100,
+                "engine": "auto",
+            },
+        )
+
+        async def submit_both():
+            orchestrator = Orchestrator(checkpoints, workers=2)
+            try:
+                new = await orchestrator.submit(paper_protocol_rd53())
+                await asyncio.sleep(0.05)  # its build is under way
+                old = await orchestrator.submit(resumed)
+                for job in (new, old):
+                    await orchestrator.wait(job.job_id)
+                return new, old
+            finally:
+                orchestrator.shutdown()
+
+        new, old = run(submit_both())
+        assert new.status == old.status == "done", (new.error, old.error)
+        assert forks_during_a_build == [False]
+
+    def test_area_job_plans_on_sample_count(self, tmp_path):
+        scenario = Scenario(
+            name="svc-area-plan",
+            source=FunctionSource.random(3, max_products=2),
+            protocol="area",
+            samples=200,
+        )
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        job = run(submit_and_wait(Orchestrator(checkpoints, workers=1), scenario))
+        assert job.status == "done", job.error
+        assert recorded_chunk_size(checkpoints, scenario) == 32
+        assert job.total_chunks == 7
+
+    def test_adaptive_budget_plans_on_the_chunk_cap(self, tmp_path):
+        scenario = tiny_scenario(samples=100_000, tolerance=0.08)
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        job = run(submit_and_wait(Orchestrator(checkpoints, workers=1), scenario))
+        assert job.status == "done", job.error
+        assert recorded_chunk_size(checkpoints, scenario) == 6250
+
+    def test_explicit_chunk_size_wins(self, tmp_path):
+        scenario = paper_protocol_rd53(mappers=("hybrid",))
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        job = run(
+            submit_and_wait(
+                Orchestrator(checkpoints, workers=1, chunk_size=32), scenario
+            )
+        )
+        assert job.status == "done", job.error
+        assert recorded_chunk_size(checkpoints, scenario) == 32
+        assert job.total_chunks == 7
+
+    def test_old_spec_resumes_with_its_own_chunk_keys(self, tmp_path):
+        # A job first planned under the sample-count rule: chunk_size 32,
+        # so 7 chunks, and a kill after 3 of them were checkpointed.
+        scenario = paper_protocol_rd53()
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        spec_hash = scenario.content_hash()
+        checkpoints.write_spec(
+            spec_hash,
+            {
+                "scenario": scenario.to_dict(),
+                "spec_hash": spec_hash,
+                "chunk_size": 32,
+                "engine": "auto",
+            },
+        )
+        plan = plan_range_chunks(0, 0, 200, 32)
+        assert len(plan) == 7
+        done = [plan[0], plan[3], plan[6]]
+        for chunk, payload in execute_all(scenario, done).items():
+            checkpoints.write_chunk(spec_hash, chunk.key, payload)
+
+        job = run(submit_and_wait(Orchestrator(checkpoints, workers=1), scenario))
+        assert job.status == "done", job.error
+        assert job.total_chunks == 7
+        assert job.loaded_chunks == 3 and job.executed_chunks == 4
+        assert checkpoints.completed_chunks(spec_hash) == {c.key for c in plan}
+        assert recorded_chunk_size(checkpoints, scenario) == 32
+        direct = run_scenario(scenario, workers=1)
+        assert job.result.counting_statistics() == direct.counting_statistics()
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +570,34 @@ class TestOrchestrator:
         assert second.executed_chunks == 0
         assert (
             second.result.counting_statistics()
+            == first.result.counting_statistics()
+        )
+
+    def test_cached_spec_is_done_when_submit_returns(self, tmp_path):
+        scenario = tiny_scenario()
+        checkpoints = CheckpointStore(tmp_path / "ckpt")
+        first = run(
+            submit_and_wait(
+                Orchestrator(checkpoints, workers=1, chunk_size=8), scenario
+            )
+        )
+        assert first.status == "done", first.error
+
+        async def submit_only():
+            orchestrator = Orchestrator(checkpoints, workers=1, chunk_size=8)
+            try:
+                job = await orchestrator.submit(scenario)
+                # Before the loop runs anything else.
+                return job, job.status_payload()
+            finally:
+                orchestrator.shutdown()
+
+        # A fresh orchestrator answers from result.json in submit itself.
+        job, answer = run(submit_only())
+        assert answer["status"] == "done" and answer["cached"], answer
+        assert answer["executed_chunks"] == 0 and answer["finished_at"]
+        assert (
+            job.result.counting_statistics()
             == first.result.counting_statistics()
         )
 
@@ -660,6 +894,21 @@ class TestHTTPService:
         resubmit = service.submit(scenario)
         assert resubmit["status"] == "done"
         assert resubmit["executed_chunks"] == done["executed_chunks"]
+
+    def test_spec_in_the_store_is_answered_done_at_submit(
+        self, service, tmp_path
+    ):
+        scenario = tiny_scenario()
+        # Another writer (a CLI run, another server) published the spec
+        # to the store the service reads.
+        direct = run_scenario(
+            scenario, workers=1, store=ArtifactStore(tmp_path / "artifacts.jsonl")
+        )
+        status = service.submit(scenario)
+        assert status["status"] == "done" and status["cached"], status
+        assert status["executed_chunks"] == 0
+        result = service.result(status["job_id"])
+        assert result.counting_statistics() == direct.counting_statistics()
 
     def test_artifact_lookup_serves_the_shared_cache(self, service):
         scenario = tiny_scenario()

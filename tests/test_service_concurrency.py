@@ -88,6 +88,37 @@ class TestStoreRobustness:
             records = fresh.scan()
         assert records["first"].complete and records["second"].complete
 
+    def test_non_string_hash_is_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "artifacts.jsonl"
+        store = ArtifactStore(path)
+        self.complete_block(store, "good")
+        with path.open("a") as handle:
+            handle.write('{"kind": "row", "hash": [1]}\n')
+            handle.write('{"kind": "begin", "hash": {"h": 1}, "spec": {}}\n')
+        records, messages = scan_with_warnings(store)
+        assert records["good"].complete and store.load("good") is not None
+        assert messages == {
+            f"skipping malformed record at {path}:{line}" for line in (4, 5)
+        }
+
+    def test_unfinished_block_does_not_hide_the_complete_one(self, tmp_path):
+        store = ArtifactStore(tmp_path / "artifacts.jsonl")
+        store.write_block("a", {"v": 1}, [{"row": 0}])
+        # A killed ``--force`` rerun: a block that never finishes...
+        store.begin("a", {"v": 2})
+        store.append_row("a", 0, {"row": 1})
+        assert store.load("a").spec == {"v": 1}
+        # ...and another, killed before its first row.
+        store.begin("a", {"v": 3})
+        assert store.load("a").rows == [{"row": 0}]
+        assert ArtifactStore(store.path).load("a").spec == {"v": 1}
+        assert "a" in store
+        # Once a later block finishes, it is the one served.
+        store.append_row("a", 0, {"row": 3})
+        store.finish("a", rows=1)
+        assert store.load("a").spec == {"v": 3}
+        assert store.load("a").rows == [{"row": 3}]
+
     def test_truncation_only_loses_the_torn_block(self, tmp_path):
         path = tmp_path / "artifacts.jsonl"
         store = ArtifactStore(path)
@@ -108,8 +139,17 @@ class TestStoreRobustness:
 HASHES = ("a", "b", "c")
 
 #: Newline-terminated lines a fresh scan skips: not JSON, not an object,
-#: not UTF-8, and a blank line it ignores silently.
-MALFORMED_LINES = (b"not json\n", b"{\n", b"[1, 2]\n", b"\xff\xfe\n", b"  \n")
+#: not UTF-8, an object whose hash is not a string, and a blank line it
+#: ignores silently.
+MALFORMED_LINES = (
+    b"not json\n",
+    b"{\n",
+    b"[1, 2]\n",
+    b"\xff\xfe\n",
+    b'{"kind": "row", "hash": [1]}\n',
+    b'{"kind": "begin", "hash": {"h": 1}}\n',
+    b"  \n",
+)
 
 store_operations = st.lists(
     st.one_of(
