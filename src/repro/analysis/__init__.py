@@ -12,15 +12,22 @@ package answers the inverse and uncertainty questions around them:
   which grows an experiment in deterministic batches until the CI
   half-width reaches a tolerance instead of burning a fixed budget
   (also reachable as ``Design.yield_analysis()`` and
-  ``Scenario(tolerance=...)``);
+  ``Scenario(tolerance=...)``), and :func:`analysis_scenario`, which
+  spells one analysis point as the mapping scenario that runs it;
 * :mod:`repro.analysis.yield_curves` — :class:`YieldCurve` /
   :class:`YieldSurface` sweeps over defect rate x array size
   (redundancy), with interpolated threshold solving
   (``defect_rate_at_yield(0.99)``);
 * :mod:`repro.analysis.spares` — :func:`optimize_spares`, the
-  minimum-area spare-allocation search for a target yield;
-* :mod:`repro.analysis.cache` — content-addressed caching of analysis
-  results in the scenario layer's JSONL artifact store.
+  minimum-area spare-allocation search for a target yield.
+
+Every analysis point is a :class:`~repro.api.scenarios.Scenario` run by
+:mod:`repro.api.runner`: a curve is a suite with one scenario per rate,
+a spare search runs one scenario per candidate allocation.  So the
+points are cached in the scenario layer's artifact store under their
+content hashes, shared with ``repro run`` and the service, and
+:meth:`AdaptiveResult.from_row` turns a stored row back into the
+sampler's result.
 
 Everything is exposed on the CLI as ``python -m repro analyze
 yield|curve|spares``; ``docs/statistics.md`` documents the statistical
@@ -28,15 +35,9 @@ choices and guarantees.
 """
 
 from repro.analysis.adaptive import (
-    AdaptiveBatch,
     AdaptiveResult,
+    analysis_scenario,
     run_adaptive_monte_carlo,
-)
-from repro.analysis.cache import (
-    analysis_spec_hash,
-    cached_analysis,
-    load_analysis,
-    store_analysis,
 )
 from repro.analysis.confidence import (
     CI_METHODS,
@@ -60,7 +61,6 @@ from repro.analysis.yield_curves import (
 )
 
 __all__ = [
-    "AdaptiveBatch",
     "AdaptiveResult",
     "BinomialInterval",
     "CI_METHODS",
@@ -69,16 +69,13 @@ __all__ = [
     "YieldCurve",
     "YieldPoint",
     "YieldSurface",
-    "analysis_spec_hash",
-    "cached_analysis",
+    "analysis_scenario",
     "compute_yield_curve",
     "compute_yield_surface",
     "fixed_sample_budget",
     "jeffreys_interval",
-    "load_analysis",
     "optimize_spares",
     "run_adaptive_monte_carlo",
-    "store_analysis",
     "wilson_interval",
     "yield_estimate",
 ]

@@ -40,14 +40,20 @@ exactly, nominal).
 from __future__ import annotations
 
 from collections.abc import Generator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.confidence import (
     CI_METHODS,
     BinomialInterval,
     yield_estimate,
 )
-from repro.api.defect_models import DefectModel
+from repro.api.defect_models import (
+    DefectModel,
+    create_defect_model,
+    resolve_defect_model,
+)
+from repro.api.runner import adaptive_settings
+from repro.api.scenarios import FunctionSource, Scenario
 from repro.boolean.function import BooleanFunction
 from repro.engines import resolve_mapping_engine
 from repro.exceptions import ExperimentError
@@ -68,35 +74,6 @@ MAX_BATCH = 8192
 DEFAULT_MAX_SAMPLES = 100_000
 
 
-@dataclass(frozen=True)
-class AdaptiveBatch:
-    """One round of the adaptive loop (for reporting and tests)."""
-
-    offset: int
-    size: int
-    #: Per-algorithm CI half-width of the *cumulative* counts after
-    #: this batch — the numbers the stopping rule compared to the
-    #: tolerance.
-    half_widths: dict[str, float]
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation."""
-        return {
-            "offset": self.offset,
-            "size": self.size,
-            "half_widths": dict(self.half_widths),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AdaptiveBatch":
-        """Rebuild a batch record serialized by :meth:`to_dict`."""
-        return cls(
-            offset=payload["offset"],
-            size=payload["size"],
-            half_widths=dict(payload["half_widths"]),
-        )
-
-
 @dataclass
 class AdaptiveResult:
     """The outcome of one adaptive Monte-Carlo run."""
@@ -107,7 +84,8 @@ class AdaptiveResult:
     confidence: float
     method: str
     converged: bool
-    batches: list[AdaptiveBatch] = field(default_factory=list)
+    #: Rounds the loop ran (one for a fixed budget).
+    batches: int
 
     @property
     def samples_used(self) -> int:
@@ -152,7 +130,7 @@ class AdaptiveResult:
         )
         return (
             f"{self.monte_carlo.function_name}: {status} after "
-            f"{self.samples_used} samples ({len(self.batches)} batches, "
+            f"{self.samples_used} samples ({self.batches} batches, "
             f"{precision}): {parts}"
         )
 
@@ -164,7 +142,7 @@ class AdaptiveResult:
             "method": self.method,
             "converged": self.converged,
             "samples_used": self.samples_used,
-            "batches": len(self.batches),
+            "batches": self.batches,
             "half_width": self.half_width(),
             "estimates": {
                 name: estimate.to_dict()
@@ -180,7 +158,7 @@ class AdaptiveResult:
             "confidence": self.confidence,
             "method": self.method,
             "converged": self.converged,
-            "batches": [batch.to_dict() for batch in self.batches],
+            "batches": self.batches,
         }
 
     @classmethod
@@ -192,10 +170,26 @@ class AdaptiveResult:
             confidence=payload.get("confidence", 0.95),
             method=payload.get("method", "wilson"),
             converged=payload.get("converged", False),
-            batches=[
-                AdaptiveBatch.from_dict(entry)
-                for entry in payload.get("batches", [])
-            ],
+            batches=payload.get("batches", 1),
+        )
+
+    @classmethod
+    def from_row(cls, scenario: Scenario, row: dict) -> "AdaptiveResult":
+        """The loop result behind one result row of a mapping scenario.
+
+        A ``tolerance`` row records the loop's verdict and round count
+        under ``"adaptive"`` (:meth:`row_summary`); a fixed row is the
+        loop's one batch, which always converges.
+        """
+        settings = adaptive_settings(scenario)
+        summary = row.get("adaptive", {"converged": True, "batches": 1})
+        return cls(
+            monte_carlo=MonteCarloResult.from_dict(row["monte_carlo"]),
+            tolerance=settings["tolerance"],
+            confidence=settings["confidence"],
+            method=settings["method"],
+            converged=summary["converged"],
+            batches=summary["batches"],
         )
 
 
@@ -301,7 +295,7 @@ def adaptive_loop(
     which validates them.
     """
     result: MonteCarloResult | None = None
-    batches: list[AdaptiveBatch] = []
+    batches = 0
     converged = False
     offset = 0
     batch = INITIAL_BATCH if tolerance is not None else max_samples
@@ -313,21 +307,17 @@ def adaptive_loop(
         else:
             result.merge(partial)
         offset += size
-        half_widths = {
-            name: yield_estimate(
+        batches += 1
+        half_width = max(
+            yield_estimate(
                 outcome.successes,
                 outcome.samples,
                 confidence=confidence,
                 method=method,
             ).half_width
-            for name, outcome in result.outcomes.items()
-        }
-        batches.append(
-            AdaptiveBatch(
-                offset=offset - size, size=size, half_widths=half_widths
-            )
+            for outcome in result.outcomes.values()
         )
-        if tolerance is None or max(half_widths.values()) <= tolerance:
+        if tolerance is None or half_width <= tolerance:
             converged = True
             break
         batch = min(batch * 2, MAX_BATCH)
@@ -340,4 +330,62 @@ def adaptive_loop(
         method=method,
         converged=converged,
         batches=batches,
+    )
+
+
+def analysis_scenario(
+    function: FunctionSource | BooleanFunction | str,
+    *,
+    tolerance: float | None = None,
+    samples: int = 200,
+    max_samples: int = DEFAULT_MAX_SAMPLES,
+    defect_rate: float = 0.10,
+    stuck_open_fraction: float = 1.0,
+    defect_model: DefectModel | str | dict | None = None,
+    algorithms=("hybrid", "exact"),
+    confidence: float = 0.95,
+    method: str = "wilson",
+    seed: int = 0,
+    redundancy: tuple[int, int] = (0, 0),
+    multilevel: dict | None = None,
+    name: str | None = None,
+) -> Scenario:
+    """One analysis point as the mapping :class:`Scenario` that runs it.
+
+    Every value is spelled the way the paper suites spell theirs, so an
+    analysis and a ``repro run`` of the same experiment hash equal and
+    share one cached artifact:
+
+    * the name is the circuit's (``name`` overrides it);
+    * without a ``defect_model``, the model is ``uniform`` at
+      ``defect_rate``, with ``stuck_open_fraction`` only when it is not
+      1.0;
+    * ``options`` carry ``confidence``, ``ci_method`` and ``multilevel``
+      only when they are not at their defaults;
+    * the sample count is the budget: ``samples`` for a fixed run,
+      ``max_samples`` for an adaptive one (``tolerance`` set).
+    """
+    source = FunctionSource.coerce(function)
+    if defect_model is None:
+        params = {"rate": defect_rate}
+        if stuck_open_fraction != 1.0:
+            params["stuck_open_fraction"] = stuck_open_fraction
+        defect_model = create_defect_model("uniform", **params)
+    options = {}
+    if confidence != 0.95:
+        options["confidence"] = confidence
+    if method != "wilson":
+        options["ci_method"] = method
+    if multilevel is not None:
+        options["multilevel"] = dict(multilevel)
+    return Scenario(
+        name=name or source.label(),
+        source=source,
+        mappers=tuple(algorithms),
+        defect_model=resolve_defect_model(defect_model),
+        redundancy=(redundancy,),
+        samples=samples if tolerance is None else max_samples,
+        seed=seed,
+        options=options,
+        tolerance=tolerance,
     )

@@ -9,7 +9,9 @@ redundant lines vs. defect tolerance performance") as future work.
 :func:`optimize_spares` enumerates candidate allocations in ascending
 physical-area order, estimates each candidate's yield with one
 adaptive-sampler run (to a CI half-width when ``tolerance`` is set,
-else its one-batch case, a fixed budget) and stops at the first
+else its one-batch case, a fixed budget), each a scenario run through
+:func:`~repro.api.runner.run_scenario` so a repeated or re-targeted
+search reuses the candidates already stored, and stops at the first
 candidate meeting the target — which the area ordering makes the
 minimum-area solution among the searched grid, without ever simulating
 an allocation larger than needed.  All evaluated candidates are kept as
@@ -23,10 +25,14 @@ from dataclasses import dataclass, field
 
 from repro.analysis.adaptive import (
     DEFAULT_MAX_SAMPLES,
-    run_adaptive_monte_carlo,
+    AdaptiveResult,
+    analysis_scenario,
 )
 from repro.analysis.confidence import BinomialInterval
-from repro.api.defect_models import DefectModel, resolve_defect_model
+from repro.api.artifacts import ArtifactStore
+from repro.api.defect_models import DefectModel
+from repro.api.runner import run_scenario
+from repro.api.scenarios import FunctionSource
 from repro.boolean.function import BooleanFunction
 from repro.circuits.registry import get_benchmark
 from repro.exceptions import ExperimentError
@@ -193,6 +199,8 @@ def optimize_spares(
     workers: int | None = None,
     engine: str = "auto",
     max_samples: int = DEFAULT_MAX_SAMPLES,
+    store: ArtifactStore | None = None,
+    force: bool = False,
 ) -> SpareSearchResult:
     """Search spare allocations for minimum area meeting a yield target.
 
@@ -216,6 +224,10 @@ def optimize_spares(
         the target; ``"lower"`` demands the CI lower bound does —
         conservative, and typically needing a tight ``tolerance`` to be
         attainable at all.
+    store / force:
+        Each candidate is one :func:`~repro.api.runner.run_scenario`
+        call with these keywords, so candidates already in ``store``
+        are not recomputed.
     """
     if not 0.0 < target_yield <= 1.0:
         raise ExperimentError(
@@ -227,16 +239,9 @@ def optimize_spares(
         )
     if max_extra_rows < 0 or max_extra_columns < 0:
         raise ExperimentError("spare-grid bounds must be non-negative")
+    source = FunctionSource.coerce(function)
     if isinstance(function, str):
         function = get_benchmark(function)
-    if defect_model is None:
-        model = DefectModel(
-            "uniform",
-            {"rate": defect_rate, "stuck_open_fraction": stuck_open_fraction},
-        )
-    else:
-        model = resolve_defect_model(defect_model)
-
     matrix = FunctionMatrix(function)
     base_rows, base_columns = matrix.num_rows, matrix.num_columns
     base_area = base_rows * base_columns
@@ -253,31 +258,37 @@ def optimize_spares(
             level,
         ),
     )
+    scenarios = [
+        analysis_scenario(
+            source,
+            tolerance=tolerance,
+            samples=samples,
+            max_samples=max_samples,
+            defect_rate=defect_rate,
+            stuck_open_fraction=stuck_open_fraction,
+            defect_model=defect_model,
+            algorithms=(algorithm,),
+            confidence=confidence,
+            method=method,
+            seed=seed,
+            redundancy=level,
+        )
+        for level in candidates
+    ]
 
     result = SpareSearchResult(
         function_name=function.name or "<anonymous>",
         algorithm=algorithm,
         target_yield=target_yield,
         criterion=criterion,
-        defect_model=model.to_dict(),
+        defect_model=scenarios[0].defect_model.to_dict(),
         best=None,
     )
-    budget = samples if tolerance is None else max_samples
-    for extra_rows, extra_columns in candidates:
-        adaptive = run_adaptive_monte_carlo(
-            function,
-            tolerance=tolerance,
-            confidence=confidence,
-            method=method,
-            defect_model=model,
-            algorithms=(algorithm,),
-            seed=seed,
-            extra_rows=extra_rows,
-            extra_columns=extra_columns,
-            workers=workers,
-            engine=engine,
-            max_samples=budget,
+    for (extra_rows, extra_columns), scenario in zip(candidates, scenarios):
+        run = run_scenario(
+            scenario, workers=workers, engine=engine, force=force, store=store
         )
+        adaptive = AdaptiveResult.from_row(scenario, run.rows[0])
         estimate = adaptive.estimate(algorithm)
         achieved = (
             estimate.point if criterion == "point" else estimate.lower

@@ -18,8 +18,9 @@ counterpart of the frontier search in :mod:`repro.analysis.spares`).
 Both are computed by :func:`compute_yield_curve` /
 :func:`compute_yield_surface`, one adaptive-sampler run per point:
 adaptive to a CI half-width (pass ``tolerance=``) or its one-batch
-case, a fixed per-point budget (``tolerance=None``).  Both serialize
-to plain dicts for the JSONL artifact store.
+case, a fixed per-point budget (``tolerance=None``).  A curve runs as
+one :class:`~repro.api.scenarios.ScenarioSuite`, one scenario per rate,
+so its points are cached in the artifact store like any scenario.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ from dataclasses import dataclass, field
 
 from repro.analysis.adaptive import (
     DEFAULT_MAX_SAMPLES,
-    run_adaptive_monte_carlo,
+    AdaptiveResult,
+    analysis_scenario,
 )
 from repro.analysis.confidence import BinomialInterval
-from repro.api.defect_models import create_defect_model
+from repro.api.artifacts import ArtifactStore
+from repro.api.runner import run_suite
+from repro.api.scenarios import FunctionSource, ScenarioSuite
 from repro.boolean.function import BooleanFunction
 from repro.circuits.registry import get_benchmark
 from repro.defects.analysis import naive_survival_curve
@@ -340,6 +344,8 @@ def compute_yield_curve(
     workers: int | None = None,
     engine: str = "auto",
     max_samples: int = DEFAULT_MAX_SAMPLES,
+    store: ArtifactStore | None = None,
+    force: bool = False,
 ) -> YieldCurve:
     """Sweep the defect rate into a :class:`YieldCurve` with CIs.
 
@@ -352,10 +358,16 @@ def compute_yield_curve(
     comparable across rates and runs.  ``rates`` are deduplicated and
     sorted; the naive-survival column only appears for pure
     stuck-open sweeps, where its closed form is valid.
+
+    The points run as one suite through
+    :func:`~repro.api.runner.run_suite`, one scenario per rate named
+    ``f"{circuit}@{rate!r}"``; ``store`` and ``force`` are its keywords,
+    so points already in the store are not recomputed.
     """
     rates = sorted({float(rate) for rate in rates})
     if not rates:
         raise ExperimentError("a yield curve needs at least one defect rate")
+    source = FunctionSource.coerce(function)
     function = _resolve_function(function)
     # The analytic naive-survival closed form is derived for stuck-open
     # defects only (a stuck-closed device also poisons whole lines), so
@@ -366,25 +378,32 @@ def compute_yield_curve(
         if stuck_open_fraction == 1.0
         else [None] * len(rates)
     )
-    budget = samples if tolerance is None else max_samples
+    suite = ScenarioSuite(
+        f"{source.label()}-curve",
+        tuple(
+            analysis_scenario(
+                source,
+                name=f"{source.label()}@{rate!r}",
+                tolerance=tolerance,
+                samples=samples,
+                max_samples=max_samples,
+                defect_rate=rate,
+                stuck_open_fraction=stuck_open_fraction,
+                algorithms=algorithms,
+                confidence=confidence,
+                method=method,
+                seed=seed,
+                redundancy=(extra_rows, extra_columns),
+            )
+            for rate in rates
+        ),
+    )
+    results = run_suite(
+        suite, workers=workers, engine=engine, force=force, store=store
+    )
     points = []
-    for rate, naive in zip(rates, baseline):
-        adaptive = run_adaptive_monte_carlo(
-            function,
-            tolerance=tolerance,
-            confidence=confidence,
-            method=method,
-            defect_model=create_defect_model(
-                "uniform", rate=rate, stuck_open_fraction=stuck_open_fraction
-            ),
-            algorithms=algorithms,
-            seed=seed,
-            extra_rows=extra_rows,
-            extra_columns=extra_columns,
-            workers=workers,
-            engine=engine,
-            max_samples=budget,
-        )
+    for rate, naive, result in zip(rates, baseline, results):
+        adaptive = AdaptiveResult.from_row(result.scenario, result.rows[0])
         points.append(
             YieldPoint(
                 defect_rate=rate,
@@ -416,7 +435,8 @@ def compute_yield_surface(
     """Sweep (defect rate x redundancy) into a :class:`YieldSurface`.
 
     ``curve_options`` are forwarded to :func:`compute_yield_curve` for
-    every redundancy level (tolerance, samples, algorithms, seed, ...).
+    every redundancy level (tolerance, samples, algorithms, seed,
+    store, ...).
     """
     levels = [(int(rows), int(columns)) for rows, columns in redundancy_levels]
     if not levels:

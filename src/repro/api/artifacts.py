@@ -270,11 +270,11 @@ class ArtifactStore:
         The streaming :meth:`begin`/:meth:`append_row`/:meth:`finish`
         protocol assumes a single writer per store — a second process
         opening a block for the same hash mid-stream would orphan the
-        first block's rows.  Writers that already hold their rows (the
-        service orchestrator checkpoints chunks elsewhere and publishes
-        only finished results here; the analysis cache stores one row)
-        use this method instead: the whole block lands contiguously, so
-        concurrent publishers can share a store safely.
+        first block's rows.  The service orchestrator, which already
+        holds its rows (it checkpoints chunks elsewhere and publishes
+        only finished results here), uses this method instead: the
+        whole block lands contiguously, so concurrent publishers can
+        share a store safely.
         """
         entries: list[dict] = [{"kind": "begin", "hash": spec_hash, "spec": spec}]
         entries.extend(

@@ -224,10 +224,6 @@ class Design:
             self._stage_plan = stage_plan_for(self._function, self._multilevel)
         return self._stage_plan
 
-    def multilevel_design(self):
-        """The staged :class:`~repro.crossbar.multi_level.MultiLevelDesign`."""
-        return self.stage_plan().design
-
     def multilevel_area_report(self):
         """Two-level vs multi-level area comparison for this circuit
         (:func:`repro.synth.area.multilevel_area_report`), using the

@@ -296,12 +296,6 @@ class BooleanFunction:
         values = self.evaluate(vector)
         return dict(zip(self._output_names, values))
 
-    def truth_tables(self) -> list[list[bool]]:
-        """Exhaustive truth tables (small input counts only)."""
-        return [
-            self.cover_for_output(i).truth_table() for i in range(self.num_outputs)
-        ]
-
     def equivalent(
         self,
         other: "BooleanFunction",

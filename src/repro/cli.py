@@ -219,17 +219,22 @@ def _parse_redundancy(text: str) -> tuple[int, int]:
     return rows, columns
 
 
+def _store_bytes(store: ArtifactStore) -> int:
+    """The size of the store's file (0 before its first append)."""
+    try:
+        return store.path.stat().st_size
+    except FileNotFoundError:
+        return 0
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import (
         AdaptiveResult,
-        SpareSearchResult,
-        YieldCurve,
-        cached_analysis,
+        analysis_scenario,
         compute_yield_curve,
         optimize_spares,
-        run_adaptive_monte_carlo,
     )
-    from repro.circuits.registry import get_benchmark
+    from repro.api.runner import run_scenario
 
     circuit = args.circuit or ANALYZE_DEFAULT_CIRCUITS[args.what]
     algorithms_text = args.algorithms
@@ -254,7 +259,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     # Mode-specific flags parse with a None default so a flag given to
     # the wrong mode errors instead of being silently ignored (and
-    # silently absent from the cache spec).
+    # silently absent from the scenarios it runs).
     def mode_option(value, default, option: str, *modes: str):
         if value is not None and args.what not in modes:
             raise ExperimentError(
@@ -280,7 +285,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     criterion = mode_option(args.criterion, "point", "--criterion", "spares")
     max_rows = mode_option(args.max_rows, 6, "--max-rows", "spares")
     max_cols = mode_option(args.max_cols, 6, "--max-cols", "spares")
-    mode_option(args.at_yield, None, "--at-yield", "curve")
+    at_yield = mode_option(args.at_yield, None, "--at-yield", "curve")
+    if at_yield is not None and not 0.0 < at_yield <= 1.0:
+        raise ExperimentError(f"target yield must lie in (0, 1], got {at_yield}")
     # The sampling knobs follow the same errors-not-ignored policy,
     # keyed on adaptive vs fixed-budget rather than on the mode:
     # adaptive runs never read --samples and fixed-budget runs never
@@ -295,93 +302,69 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "--max-samples only applies to adaptive runs; set "
             "--tolerance, or use --samples for a fixed budget"
         )
-    samples = 200 if args.samples is None else args.samples
-    max_samples = 100_000 if args.max_samples is None else args.max_samples
-    store = ArtifactStore(args.jsonl or DEFAULT_STORE)
-
-    # The spec carries every parameter that determines the counting
-    # statistics and nothing else: no execution detail (workers/engine
-    # never change a result, only its wall-clock time) and no inert
-    # sampling knob — adaptive runs never read --samples, fixed-budget
-    # runs never read --max-samples — so semantically identical
-    # invocations hash to the same cached artifact.
-    spec = {
-        "analyze": args.what,
-        "circuit": circuit,
-        "algorithms": list(algorithms),
+    sampling = {
         "tolerance": tolerance,
+        "samples": 200 if args.samples is None else args.samples,
+        "max_samples": 100_000 if args.max_samples is None else args.max_samples,
         "confidence": args.confidence,
-        "ci_method": args.ci_method,
+        "method": args.ci_method,
         "seed": args.seed,
-        "stuck_open_fraction": args.stuck_open_fraction,
     }
-    if tolerance is None:
-        spec["samples"] = samples
-    else:
-        spec["max_samples"] = max_samples
-    if args.what == "curve":
-        rates = (
-            _parse_floats(rates_text, "--rates")
-            if rates_text
-            else ANALYZE_DEFAULT_RATES
-        )
-        # Canonical order for the cache key: the curve sorts/dedups its
-        # rates anyway, so `--rates 0.1,0.05` and `--rates 0.05,0.1`
-        # must hash (and cache) identically.
-        rates = tuple(sorted({float(rate) for rate in rates}))
-        spec["rates"] = list(rates)
-    else:
-        spec["rate"] = rate
-    if args.what == "yield":
-        redundancy = _parse_redundancy(redundancy_text)
-        spec["redundancy"] = list(redundancy)
-        if multilevel is not None:
-            spec["multilevel"] = dict(multilevel)
-    if args.what == "spares":
-        spec.update(
-            {
-                "target_yield": target_yield,
-                "criterion": criterion,
-                "max_extra_rows": max_rows,
-                "max_extra_columns": max_cols,
-            }
-        )
+    store = ArtifactStore(args.jsonl or DEFAULT_STORE)
+    execution = {
+        "workers": args.workers,
+        "engine": args.engine,
+        "force": args.force,
+        "store": store,
+    }
+    # Every mode runs its points as scenarios, and each scenario it
+    # computes (rather than loads) appends a block to the store.
+    stored_bytes = _store_bytes(store)
 
-    def compute() -> dict:
-        if args.what == "yield":
-            adaptive = run_adaptive_monte_carlo(
-                get_benchmark(circuit),
-                tolerance=tolerance,
-                confidence=args.confidence,
-                method=args.ci_method,
-                defect_rate=rate,
-                stuck_open_fraction=args.stuck_open_fraction,
-                algorithms=algorithms,
-                seed=args.seed,
-                extra_rows=redundancy[0],
-                extra_columns=redundancy[1],
-                workers=args.workers,
-                engine=args.engine,
-                max_samples=max_samples,
-                multilevel=multilevel,
-            )
-            return {"kind": "adaptive_yield", "result": adaptive.to_dict()}
-        if args.what == "curve":
-            curve = compute_yield_curve(
-                circuit,
-                rates=rates,
-                tolerance=tolerance,
-                samples=samples,
-                confidence=args.confidence,
-                method=args.ci_method,
-                algorithms=algorithms,
-                stuck_open_fraction=args.stuck_open_fraction,
-                seed=args.seed,
-                workers=args.workers,
-                engine=args.engine,
-                max_samples=max_samples,
-            )
-            return {"kind": "yield_curve", "result": curve.to_dict()}
+    if args.what == "yield":
+        scenario = analysis_scenario(
+            circuit,
+            defect_rate=rate,
+            stuck_open_fraction=args.stuck_open_fraction,
+            algorithms=algorithms,
+            redundancy=_parse_redundancy(redundancy_text),
+            multilevel=multilevel,
+            **sampling,
+        )
+        adaptive = AdaptiveResult.from_row(
+            scenario, run_scenario(scenario, **execution).rows[0]
+        )
+        payload = {"kind": "adaptive_yield", "result": adaptive.to_dict()}
+        rendered = adaptive.summary()
+    elif args.what == "curve":
+        curve = compute_yield_curve(
+            circuit,
+            rates=(
+                _parse_floats(rates_text, "--rates")
+                if rates_text
+                else ANALYZE_DEFAULT_RATES
+            ),
+            algorithms=algorithms,
+            stuck_open_fraction=args.stuck_open_fraction,
+            **sampling,
+            **execution,
+        )
+        payload = {"kind": "yield_curve", "result": curve.to_dict()}
+        rendered = curve.render()
+        if at_yield is not None:
+            lines = [rendered, ""]
+            for algorithm in curve.algorithms:
+                threshold = curve.defect_rate_at_yield(at_yield, algorithm)
+                lines.append(
+                    f"defect rate at {at_yield:.1%} yield [{algorithm}]: "
+                    + (
+                        f"{threshold:.4f}"
+                        if threshold is not None
+                        else "below sweep"
+                    )
+                )
+            rendered = "\n".join(lines)
+    else:
         search = optimize_spares(
             circuit,
             target_yield=target_yield,
@@ -390,47 +373,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             stuck_open_fraction=args.stuck_open_fraction,
             max_extra_rows=max_rows,
             max_extra_columns=max_cols,
-            tolerance=tolerance,
-            samples=samples,
-            confidence=args.confidence,
-            method=args.ci_method,
             criterion=criterion,
-            seed=args.seed,
-            workers=args.workers,
-            engine=args.engine,
-            max_samples=max_samples,
+            **sampling,
+            **execution,
         )
-        return {"kind": "spare_search", "result": search.to_dict()}
+        payload = {"kind": "spare_search", "result": search.to_dict()}
+        rendered = search.render() + "\n\n" + search.summary()
 
-    payload, cached = cached_analysis(store, spec, compute, force=args.force)
+    cached = _store_bytes(store) == stored_bytes
     print(
         f"{args.what} analysis of {circuit}: "
         + ("cached" if cached else "computed"),
         file=sys.stderr,
     )
-
-    if payload["kind"] == "adaptive_yield":
-        result = AdaptiveResult.from_dict(payload["result"])
-        rendered = result.summary()
-    elif payload["kind"] == "yield_curve":
-        curve_result = YieldCurve.from_dict(payload["result"])
-        rendered = curve_result.render()
-        if args.at_yield is not None:
-            lines = [rendered, ""]
-            for algorithm in curve_result.algorithms:
-                rate = curve_result.defect_rate_at_yield(
-                    args.at_yield, algorithm
-                )
-                lines.append(
-                    f"defect rate at {args.at_yield:.1%} yield "
-                    f"[{algorithm}]: "
-                    + (f"{rate:.4f}" if rate is not None else "below sweep")
-                )
-            rendered = "\n".join(lines)
-    else:
-        search_result = SpareSearchResult.from_dict(payload["result"])
-        rendered = search_result.render() + "\n\n" + search_result.summary()
-
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)

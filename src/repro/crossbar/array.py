@@ -84,10 +84,6 @@ class CrossbarArray:
     # ------------------------------------------------------------------
     # Programming and defects
     # ------------------------------------------------------------------
-    def set_mode(self, row: int, column: int, mode: DeviceMode) -> None:
-        """Program (or mark defective) a single crosspoint."""
-        self.device(row, column).mode = mode
-
     def mode(self, row: int, column: int) -> DeviceMode:
         """Programming/defect mode of a crosspoint."""
         return self.device(row, column).mode

@@ -56,10 +56,6 @@ class SimulationResult:
     poisoned_rows: set[int] = field(default_factory=set)
     poisoned_columns: set[int] = field(default_factory=set)
 
-    def output_bits(self) -> list[bool]:
-        """Outputs as booleans."""
-        return [bool(v) for v in self.outputs]
-
 
 def _check_array(layout: CrossbarLayout, array: CrossbarArray | None) -> None:
     if array is None:

@@ -123,13 +123,6 @@ class DefectMap:
         poisoned = self.stuck_closed_columns()
         return [column for column in range(self._columns) if column not in poisoned]
 
-    def functional_fraction_per_row(self) -> list[float]:
-        """Fraction of functional crosspoints in every row."""
-        counts = [0] * self._rows
-        for (row, _column) in self._defects:
-            counts[row] += 1
-        return [1.0 - count / self._columns for count in counts]
-
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------

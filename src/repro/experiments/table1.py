@@ -41,11 +41,6 @@ class Table1Row:
     paper_two_level_complement: int | None
     paper_multi_level_complement: int | None
 
-    @property
-    def multi_level_penalty(self) -> float:
-        """Measured multi-level / two-level area ratio of the original."""
-        return self.multi_level_original / max(1, self.two_level_original)
-
 
 @dataclass
 class Table1Result:

@@ -74,11 +74,6 @@ class Table2Row:
             return float("inf")
         return self.ea_runtime / self.hba_runtime
 
-    @property
-    def success_gap(self) -> float:
-        """EA success rate minus HBA success rate (fractional)."""
-        return self.ea_success - self.hba_success
-
 
 @dataclass
 class Table2Result:

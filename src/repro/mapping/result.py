@@ -74,10 +74,6 @@ class MappingResult:
     used_complement: bool = False
     statistics: MappingStatistics = field(default_factory=MappingStatistics)
 
-    def assigned_rows(self) -> list[int]:
-        """Physical rows used by the mapping, sorted."""
-        return sorted(self.row_assignment.values())
-
     def assignment_vector(self, num_rows: int) -> list[int]:
         """Physical row of every function-matrix row, as a dense list.
 

@@ -22,9 +22,10 @@ Endpoints (all JSON):
 ``GET  /v1/jobs/<id>/result``  the full ``ScenarioResult`` payload (409 until
                            the job is done)
 ``GET  /v1/artifacts/<hash>``  latest complete record for any content hash in
-                           the shared JSONL artifact store — scenario results
-                           and cached analysis artifacts (yield curves,
-                           surfaces, spare searches) alike
+                           the shared JSONL artifact store — the scenarios
+                           of ``repro run``, of ``repro analyze`` (curve
+                           points, spare candidates) and of this service
+                           alike
 ========================  =====================================================
 """
 
@@ -105,11 +106,17 @@ class ServiceRuntime:
             return False
 
     def stop(self) -> None:
-        """Stop the loop thread and release the worker pool."""
+        """Stop the loop thread, close its loop, release the worker pool.
+
+        A loop whose thread did not stop within :data:`CALL_TIMEOUT`
+        stays open, since a running loop cannot be closed.
+        """
         if self._started:
             self.loop.call_soon_threadsafe(self.loop.stop)
             self._thread.join(timeout=CALL_TIMEOUT)
             self._started = False
+        if not self._thread.is_alive() and not self.loop.is_closed():
+            self.loop.close()
         self.orchestrator.shutdown()
 
     def _call(self, coroutine):

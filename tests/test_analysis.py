@@ -11,6 +11,8 @@ including the golden-consistency acceptance criterion.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -22,7 +24,7 @@ from repro.analysis import (
     YieldCurve,
     YieldPoint,
     YieldSurface,
-    analysis_spec_hash,
+    analysis_scenario,
     compute_yield_curve,
     compute_yield_surface,
     fixed_sample_budget,
@@ -32,15 +34,14 @@ from repro.analysis import (
     wilson_interval,
     yield_estimate,
 )
-from repro.analysis.cache import load_analysis, store_analysis
+from repro.analysis.adaptive import adaptive_loop
 from repro.analysis.confidence import beta_quantile, regularized_incomplete_beta
-from repro.api.artifacts import ArtifactStore
 from repro.api.runner import run_scenario
 from repro.api.scenarios import FunctionSource, Scenario
 from repro.circuits import get_benchmark
 from repro.cli import main
 from repro.exceptions import ExperimentError
-from repro.experiments.monte_carlo import run_mapping_monte_carlo
+from repro.experiments.monte_carlo import MonteCarloResult, run_mapping_monte_carlo
 
 GOLDEN_SEED = 7  # matches tests/golden/paper_numbers.json
 
@@ -222,19 +223,53 @@ class TestSampleOffset:
 # ----------------------------------------------------------------------
 # The adaptive sampler
 # ----------------------------------------------------------------------
+def drive_loop(function, *, seed: int, workers: int = 1, **loop_options):
+    """Drive ``adaptive_loop`` as ``run_adaptive_monte_carlo`` does.
+
+    Returns the ``(offset, size)`` pairs the loop yielded and the
+    :class:`AdaptiveResult` it returned.
+    """
+    loop = adaptive_loop(**loop_options)
+    pairs = [next(loop)]
+    while True:
+        offset, size = pairs[-1]
+        partial = run_mapping_monte_carlo(
+            function,
+            sample_size=size,
+            sample_offset=offset,
+            seed=seed,
+            workers=workers,
+        )
+        try:
+            pairs.append(loop.send(partial))
+        except StopIteration as stop:
+            return pairs, stop.value
+
+
 class TestAdaptiveSampler:
     def test_converges_below_tolerance(self):
+        function = get_benchmark("misex1")
         adaptive = run_adaptive_monte_carlo(
-            get_benchmark("misex1"),
+            function,
             tolerance=0.02,
             seed=GOLDEN_SEED,
             workers=1,
         )
         assert adaptive.converged
         assert adaptive.half_width() <= 0.02
-        assert adaptive.samples_used == sum(b.size for b in adaptive.batches)
-        # The batch schedule is the documented geometric ramp.
-        sizes = [b.size for b in adaptive.batches]
+        pairs, looped = drive_loop(function, seed=GOLDEN_SEED, tolerance=0.02)
+        assert adaptive.batches == looped.batches == len(pairs)
+        assert (
+            adaptive.monte_carlo.counting_statistics()
+            == looped.monte_carlo.counting_statistics()
+        )
+        # The batch schedule is the documented geometric ramp over
+        # contiguous global sample ranges.
+        sizes = [size for _, size in pairs]
+        assert [offset for offset, _ in pairs] == [
+            sum(sizes[:index]) for index in range(len(sizes))
+        ]
+        assert adaptive.samples_used == sum(sizes)
         assert sizes[0] == 64
         for previous, current in zip(sizes, sizes[1:-1]):
             assert current == previous * 2
@@ -278,9 +313,12 @@ class TestAdaptiveSampler:
             serial.monte_carlo.counting_statistics()
             == parallel.monte_carlo.counting_statistics()
         )
-        assert [b.size for b in serial.batches] == [
-            b.size for b in parallel.batches
-        ]
+        serial_pairs, _ = drive_loop(function, seed=11, tolerance=0.04)
+        parallel_pairs, _ = drive_loop(
+            function, seed=11, workers=2, tolerance=0.04
+        )
+        assert serial_pairs == parallel_pairs
+        assert serial.batches == parallel.batches == len(serial_pairs)
 
     def test_engine_invariance(self):
         function = get_benchmark("misex1")
@@ -348,7 +386,11 @@ class TestAdaptiveSampler:
             max_samples=150,
         )
         assert fixed.converged and fixed.tolerance is None
-        assert [(b.offset, b.size) for b in fixed.batches] == [(0, 150)]
+        pairs, _ = drive_loop(
+            function, seed=GOLDEN_SEED, tolerance=None, max_samples=150
+        )
+        assert pairs == [(0, 150)]
+        assert fixed.batches == 1
         direct = run_mapping_monte_carlo(
             function, sample_size=150, seed=GOLDEN_SEED, workers=1
         )
@@ -683,39 +725,35 @@ class TestGoldenConsistency:
     @pytest.fixture(scope="class")
     def curve(self, tmp_path_factory) -> YieldCurve:
         store = tmp_path_factory.mktemp("analyze") / "artifacts.jsonl"
-        capture: dict = {}
-
+        out = io.StringIO()
         # Drive the real CLI so the acceptance command line is what is
-        # tested; recover the artifact from the JSONL store it wrote.
-        assert (
-            main(
-                [
-                    "analyze",
-                    "curve",
-                    "--circuit",
-                    "misex1",
-                    "--rates",
-                    "0.1",
-                    "--tolerance",
-                    "0.005",
-                    "--seed",
-                    str(GOLDEN_SEED),
-                    "--workers",
-                    "1",
-                    "--jsonl",
-                    str(store),
-                    "--out",
-                    str(tmp_path_factory.mktemp("out") / "curve.txt"),
-                ]
+        # tested; read the curve from its --json output.
+        with contextlib.redirect_stdout(out):
+            assert (
+                main(
+                    [
+                        "analyze",
+                        "curve",
+                        "--circuit",
+                        "misex1",
+                        "--rates",
+                        "0.1",
+                        "--tolerance",
+                        "0.005",
+                        "--seed",
+                        str(GOLDEN_SEED),
+                        "--workers",
+                        "1",
+                        "--jsonl",
+                        str(store),
+                        "--json",
+                    ]
+                )
+                == 0
             )
-            == 0
-        )
-        for line in store.read_text().splitlines():
-            entry = json.loads(line)
-            if entry.get("kind") == "row":
-                capture["payload"] = entry["data"]
-        assert capture["payload"]["kind"] == "yield_curve"
-        return YieldCurve.from_dict(capture["payload"]["result"])
+        payload = json.loads(out.getvalue())
+        assert payload["kind"] == "yield_curve"
+        return YieldCurve.from_dict(payload["result"])
 
     def test_reaches_half_width_with_fewer_samples_than_fixed_budget(
         self, curve
@@ -970,44 +1008,140 @@ class TestAnalyzeCli:
 
 
 # ----------------------------------------------------------------------
-# Analysis artifact hashing
+# One cache: every analysis point is a scenario in the artifact store
 # ----------------------------------------------------------------------
-class TestAnalysisCache:
-    def test_spec_hash_is_order_insensitive_and_parameter_sensitive(self):
-        spec = {"analyze": "curve", "circuit": "misex1", "seed": 7}
-        shuffled = {"seed": 7, "circuit": "misex1", "analyze": "curve"}
-        assert analysis_spec_hash(spec) == analysis_spec_hash(shuffled)
-        assert analysis_spec_hash(spec) != analysis_spec_hash(
-            {**spec, "seed": 8}
-        )
+def stored_kinds(store) -> list[str]:
+    return [json.loads(line)["kind"] for line in store.read_text().splitlines()]
 
-    def test_domain_separated_from_scenario_hashes(self):
-        scenario = Scenario(
-            name="x", source=FunctionSource.benchmark("misex1")
-        )
-        assert analysis_spec_hash(scenario.to_dict()) != scenario.content_hash()
 
-    def test_store_analysis_is_one_append_of_the_streamed_bytes(
-        self, tmp_path, monkeypatch
+class TestAnalysisScenarios:
+    def test_yield_scenario_is_the_run_scenario(self):
+        from repro.cli import resolve_target
+
+        (run,) = resolve_target("misex1").with_overrides(
+            samples=2000, tolerance=0.05
+        )
+        built = analysis_scenario("misex1", tolerance=0.05, max_samples=2000)
+        assert built == run
+        assert built.content_hash() == run.content_hash()
+
+    def test_spelling_follows_the_paper_suites(self):
+        plain = analysis_scenario("rd53", samples=40, defect_rate=0.05)
+        assert plain.defect_model.to_dict() == {
+            "name": "uniform",
+            "params": {"rate": 0.05},
+        }
+        assert plain.options == {} and plain.samples == 40
+        mixed = analysis_scenario(
+            "rd53",
+            tolerance=0.02,
+            samples=40,
+            max_samples=900,
+            stuck_open_fraction=0.9,
+            confidence=0.9,
+            method="jeffreys",
+            multilevel={"strategy": "best"},
+        )
+        assert mixed.defect_model.params["stuck_open_fraction"] == 0.9
+        assert mixed.options == {
+            "confidence": 0.9,
+            "ci_method": "jeffreys",
+            "multilevel": {"strategy": "best"},
+        }
+        assert mixed.samples == 900
+
+    def test_run_then_analyze_yield_is_one_cache_entry(self, tmp_path, capsys):
+        store = tmp_path / "a.jsonl"
+        common = ["--workers", "1", "--jsonl", str(store), "--json"]
+        assert (
+            main(["run", "misex1", "--samples", "2000", "--tolerance", "0.05"]
+                 + common)
+            == 0
+        )
+        (row,) = json.loads(capsys.readouterr().out)["results"][0]["rows"]
+        stored = store.read_bytes()
+        assert (
+            main(["analyze", "yield", "--circuit", "misex1", "--tolerance",
+                  "0.05", "--max-samples", "2000"] + common)
+            == 0
+        )
+        captured = capsys.readouterr()
+        assert "yield analysis of misex1: cached" in captured.err
+        assert store.read_bytes() == stored
+        result = AdaptiveResult.from_dict(json.loads(captured.out)["result"])
+        assert (
+            result.monte_carlo.counting_statistics()
+            == MonteCarloResult.from_dict(
+                row["monte_carlo"]
+            ).counting_statistics()
+        )
+        assert result.batches == row["adaptive"]["batches"]
+
+    def test_retargeted_spare_search_reuses_its_candidates(
+        self, tmp_path, capsys
     ):
-        spec = {"analyze": "curve", "circuit": "misex1", "seed": 7}
-        payload = {"points": [{"rate": 0.1, "yield": 0.5}]}
-        streamed = ArtifactStore(tmp_path / "streamed.jsonl")
-        spec_hash = analysis_spec_hash(spec)
-        streamed.begin(spec_hash, spec)
-        streamed.append_row(spec_hash, 0, payload)
-        streamed.finish(spec_hash, rows=1, elapsed_seconds=1.25)
+        store = tmp_path / "a.jsonl"
+        base = ["analyze", "spares", "--circuit", "rd53", "--rate", "0.05",
+                "--stuck-open-fraction", "0.98", "--samples", "40",
+                "--max-rows", "2", "--max-cols", "2", "--workers", "1",
+                "--jsonl", str(store), "--json"]
+        assert main(base + ["--target-yield", "0.8"]) == 0
+        first = SpareSearchResult.from_dict(
+            json.loads(capsys.readouterr().out)["result"]
+        )
+        assert stored_kinds(store).count("begin") == len(first.evaluated)
+        assert main(base + ["--target-yield", "0.9"]) == 0
+        captured = capsys.readouterr()
+        second = SpareSearchResult.from_dict(json.loads(captured.out)["result"])
+        assert "computed" in captured.err
+        assert len(second.evaluated) > len(first.evaluated) >= 2
+        # Only the candidates the first search never reached ran.
+        assert stored_kinds(store).count("begin") == len(second.evaluated)
+        assert [c.estimate for c in second.evaluated[: len(first.evaluated)]] == [
+            c.estimate for c in first.evaluated
+        ]
+        # The same search again runs nothing.
+        stored = store.read_bytes()
+        assert main(base + ["--target-yield", "0.9"]) == 0
+        assert "cached" in capsys.readouterr().err
+        assert store.read_bytes() == stored
 
-        store = ArtifactStore(tmp_path / "block.jsonl")
-        appends = []
-        original = ArtifactStore._append_lines
+    def test_close_rates_are_distinct_points(self, tmp_path, capsys):
+        assert (
+            main(["analyze", "curve", "--rates", "0.1,0.1000001", "--samples",
+                  "8", "--workers", "1", "--jsonl", str(tmp_path / "a.jsonl"),
+                  "--json"])
+            == 0
+        )
+        points = json.loads(capsys.readouterr().out)["result"]["points"]
+        assert [point["defect_rate"] for point in points] == [0.1, 0.1000001]
 
-        def counting(self, entries):
-            appends.append(len(entries))
-            original(self, entries)
+    def test_bad_at_yield_runs_nothing(self, tmp_path, capsys):
+        store = tmp_path / "a.jsonl"
+        assert (
+            main(["analyze", "curve", "--rates", "0.1", "--samples", "8",
+                  "--at-yield", "2", "--jsonl", str(store)])
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert "target yield must lie in (0, 1]" in err
+        assert "computed" not in err
+        assert not store.exists()
 
-        monkeypatch.setattr(ArtifactStore, "_append_lines", counting)
-        assert store_analysis(store, spec, payload, elapsed_seconds=1.25) == spec_hash
-        assert appends == [3]
-        assert store.path.read_bytes() == streamed.path.read_bytes()
-        assert load_analysis(store, spec) == payload
+    def test_curve_points_are_stored_scenarios(self, tmp_path, capsys):
+        store = tmp_path / "a.jsonl"
+        assert (
+            main(["analyze", "curve", "--rates", "0.05,0.1", "--samples", "8",
+                  "--workers", "1", "--jsonl", str(store)])
+            == 0
+        )
+        assert "computed" in capsys.readouterr().err
+        assert stored_kinds(store) == ["begin", "row", "end"] * 2
+        # A wider sweep computes only its new rate.
+        assert (
+            main(["analyze", "curve", "--rates", "0.05,0.1,0.15", "--samples",
+                  "8", "--workers", "1", "--jsonl", str(store)])
+            == 0
+        )
+        assert "computed" in capsys.readouterr().err
+        assert stored_kinds(store) == ["begin", "row", "end"] * 3

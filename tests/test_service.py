@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.exceptions import ExperimentError, ReproError
 from repro.experiments.monte_carlo import MonteCarloResult, run_mapping_monte_carlo
 from repro.service.client import ServiceClient, ServiceError
 from repro.service import jobs
-from repro.service.http import make_server
+from repro.service.http import ServiceRuntime, make_server
 from repro.service.jobs import (
     ChunkJob,
     ChunkSpec,
@@ -650,6 +652,39 @@ class TestOrchestrator:
         rerun = run_scenario(scenario, workers=1, store=artifacts)
         assert rerun.cached
 
+    def test_cli_curve_point_is_cached_at_submit(self, tmp_path, capsys):
+        from repro.api.defect_models import create_defect_model
+        from repro.cli import main
+
+        store = tmp_path / "artifacts.jsonl"
+        assert main(["analyze", "curve", "--circuit", "misex1", "--rates",
+                     "0.1", "--samples", "8", "--workers", "1",
+                     "--jsonl", str(store)]) == 0
+        capsys.readouterr()
+        # The curve point, spelled as a client spells the scenario.
+        scenario = Scenario(
+            name="misex1@0.1",
+            source=FunctionSource.benchmark("misex1"),
+            defect_model=create_defect_model("uniform", rate=0.1),
+            samples=8,
+        )
+
+        async def submit_only():
+            orchestrator = Orchestrator(
+                CheckpointStore(tmp_path / "ckpt"),
+                artifacts=ArtifactStore(store),
+                workers=1,
+            )
+            try:
+                job = await orchestrator.submit(scenario)
+                return job.status_payload()
+            finally:
+                orchestrator.shutdown()
+
+        answer = run(submit_only())
+        assert answer["status"] == "done" and answer["cached"], answer
+        assert answer["executed_chunks"] == 0
+
     def test_failed_job_reports_error(self, tmp_path):
         scenario = tiny_scenario(mappers=("no-such-mapper",))
 
@@ -866,6 +901,30 @@ def service(tmp_path):
         server.runtime.stop()
         server.server_close()
         thread.join(timeout=10)
+
+
+class TestServiceRuntime:
+    def test_stop_closes_the_event_loop(self, tmp_path):
+        # Started and stopped, or never started: either way the loop is
+        # closed, so collecting the runtime warns about nothing.
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for started in (True, False):
+                runtime = ServiceRuntime(
+                    Orchestrator(CheckpointStore(tmp_path / "ckpt"), workers=1)
+                )
+                if started:
+                    runtime.start()
+                runtime.stop()
+                assert runtime.loop.is_closed()
+                del runtime
+                gc.collect()
+        assert not [
+            warning
+            for warning in caught
+            if "unclosed event loop" in str(warning.message)
+        ]
 
 
 class TestHTTPService:

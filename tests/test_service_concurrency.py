@@ -119,6 +119,31 @@ class TestStoreRobustness:
         assert store.load("a").spec == {"v": 3}
         assert store.load("a").rows == [{"row": 3}]
 
+    def test_write_block_is_one_append_of_the_streamed_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        spec = {"name": "svc", "seed": 7}
+        rows = [{"row": 0}, {"row": 1}]
+        streamed = ArtifactStore(tmp_path / "streamed.jsonl")
+        streamed.begin("h", spec)
+        for index, row in enumerate(rows):
+            streamed.append_row("h", index, row)
+        streamed.finish("h", rows=len(rows), elapsed_seconds=1.25)
+
+        store = ArtifactStore(tmp_path / "block.jsonl")
+        appends = []
+        original = ArtifactStore._append_lines
+
+        def counting(self, entries):
+            appends.append(len(entries))
+            original(self, entries)
+
+        monkeypatch.setattr(ArtifactStore, "_append_lines", counting)
+        store.write_block("h", spec, rows, elapsed_seconds=1.25)
+        assert appends == [4]
+        assert store.path.read_bytes() == streamed.path.read_bytes()
+        assert store.load("h").rows == rows
+
     def test_truncation_only_loses_the_torn_block(self, tmp_path):
         path = tmp_path / "artifacts.jsonl"
         store = ArtifactStore(path)
