@@ -22,13 +22,18 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.api.artifacts import ArtifactRecord, ArtifactStore
 from repro.api.batch import BatchRunner, chunk_ranges
+from repro.api.registry import resolve_mappers
 from repro.api.scenarios import Scenario, ScenarioSuite
 from repro.api.seeding import derive_seed
 from repro.exceptions import ExperimentError
+
+if TYPE_CHECKING:
+    from repro.api.defect_models import DefectModel
+    from repro.boolean.function import BooleanFunction
 
 
 @dataclass
@@ -350,6 +355,9 @@ def mapping_row(
 
 def _run_mapping_protocol(
     scenario: Scenario,
+    function: BooleanFunction,
+    mappers: dict,
+    model: DefectModel,
     *,
     workers: int | None,
     engine: str,
@@ -361,8 +369,6 @@ def _run_mapping_protocol(
     # and engine-invariant.
     from repro.analysis.adaptive import run_adaptive_monte_carlo
 
-    function = scenario.source.build(seed=scenario.seed)
-    model = scenario.resolved_defect_model()
     multilevel = scenario.multilevel_spec()
     rows: list[dict] = []
     used_workers = 1
@@ -371,7 +377,7 @@ def _run_mapping_protocol(
             function,
             **adaptive_settings(scenario),
             defect_model=model,
-            algorithms=scenario.mappers,
+            algorithms=mappers,
             seed=scenario.seed,
             extra_rows=extra_rows,
             extra_columns=extra_columns,
@@ -427,29 +433,29 @@ def run_scenario(
         if record is not None:
             return ScenarioResult.from_record(record)
 
-    if store is not None:
-        store.begin(spec_hash, scenario.to_dict())
+    # Build the circuit and resolve the mappers and the defect model
+    # before the store sees a ``begin`` record, so a spec that fails on
+    # bad input leaves no unfinished block behind.
+    if scenario.protocol == "area":
+        protocol = functools.partial(_run_area_protocol, scenario)
+    else:
+        protocol = functools.partial(
+            _run_mapping_protocol,
+            scenario,
+            scenario.source.build(seed=scenario.seed),
+            resolve_mappers(scenario.mappers),
+            scenario.resolved_defect_model(),
+        )
 
     emit = None
     if store is not None:
+        store.begin(spec_hash, scenario.to_dict())
+
         def emit(index: int, row: dict) -> None:
             store.append_row(spec_hash, index, row)
 
     start = time.perf_counter()
-    if scenario.protocol == "area":
-        rows, used_workers = _run_area_protocol(
-            scenario,
-            workers=workers,
-            engine=engine,
-            emit=emit,
-        )
-    else:
-        rows, used_workers = _run_mapping_protocol(
-            scenario,
-            workers=workers,
-            engine=engine,
-            emit=emit,
-        )
+    rows, used_workers = protocol(workers=workers, engine=engine, emit=emit)
     elapsed = time.perf_counter() - start
 
     if store is not None:

@@ -6,12 +6,13 @@ a Python loop, and draw every sample's defects in a per-crosspoint
 Python loop.  This package compiles exactly those loops, plus the
 tensor they read:
 
-* the compatibility tensor, bit-packed into ``uint64`` column words
-  instead of a BLAS matmul;
+* the compatibility tensor without a BLAS matmul, each FM row's
+  compatible crossbar rows packed into ``uint64`` words with the
+  stuck-closed rows already cleared;
 * the built-in mapper replicas (exact saturating matching, greedy /
-  hybrid first-fit with one-step backtracking) over that tensor,
-  batched across every sample the structural screen passes in one
-  native call;
+  hybrid first-fit with one-step backtracking), scanning those words
+  with count-trailing-zeros, batched across every sample the
+  structural screen passes in one native call;
 * the distance-1 cube-merge pass of the packed Boolean minimiser;
 * the built-in ``uniform`` defect model's draws for a whole chunk:
   every sample's stream seed on a BLAKE2b written from RFC 7693, then
@@ -21,10 +22,12 @@ tensor they read:
 One backend implements them, ``"cext"``: :mod:`repro.compiled._kernels.c`
 built once with the system C compiler into a cached shared library and
 driven through :mod:`ctypes` (no build-time dependency beyond ``cc``).
-:mod:`repro.compiled._kernels_py` is the plain-Python oracle of the
-mapping and merge kernels, run only by the test suite; the seed
-streams' oracle is :func:`repro.api.seeding.derive_seed` and the defect
-draw's is :func:`repro.defects.injection.inject_uniform` itself.
+The test suite holds each kernel to the NumPy or Python code it
+replaces: the tensor to :func:`repro.mapping.matching.compatibility_tensor`,
+the mapper kernels to the replicas in :mod:`repro.mapping.batch_kernel`,
+the merge pass to the NumPy walk in :mod:`repro.boolean.packed`, the
+seed streams to :func:`repro.api.seeding.derive_seed` and the defect
+draw to :func:`repro.defects.injection.inject_uniform` itself.
 
 When the backend cannot load the compiled tier is simply *absent*:
 :func:`compiled_available` returns ``False`` and the resolvers of
@@ -91,15 +94,19 @@ def get_kernels():
     """The loaded kernel object, or ``None`` when no backend is usable.
 
     The object exposes ``backend`` (name), ``compatibility_tensor(fm_rows,
-    cm_stack)``, ``map_builtin_batch(compat, closed, num_minterms,
+    cm_stack, closed)``, ``map_builtin_batch(compat, closed, num_minterms,
     kind=...)``, ``merge_distance_one(values)``,
     ``uniform_stream_seeds(root, domain, start, stop)`` and
     ``inject_uniform_batch(stream_seeds, rows, columns, rate=...,
-    stuck_open_fraction=...)`` — see :mod:`repro.compiled.cext` and the
-    oracle module for the exact array contracts.  ``map_builtin_batch``
-    always checks each assignment its greedy and hybrid modes find and
-    returns the verdicts as its ``valid`` array (exact mode only decides
-    existence, so its ``valid`` stays 1).  ``uniform_stream_seeds``
+    stuck_open_fraction=...)`` — see :mod:`repro.compiled.cext` for the
+    exact array contracts.  ``compatibility_tensor`` returns the packed
+    ``uint64 (samples, fm_rows, ceil(rows / 64))`` row words that
+    ``map_builtin_batch`` settles.  ``map_builtin_batch`` always checks
+    each assignment its greedy and hybrid modes find and returns the
+    verdicts as its ``valid`` array (exact mode only decides existence,
+    so its ``valid`` stays 1).  ``merge_distance_one`` returns the merge
+    pass's value matrix before the dedupe and containment post-passes
+    of :mod:`repro.boolean.packed`.  ``uniform_stream_seeds``
     returns ``derive_seed(derive_seed(root, i), domain)`` for every
     ``i`` in ``[start, stop)`` as a uint64 array (any int ``root``,
     ``0 <= start <= stop <= 2**64``).  ``inject_uniform_batch`` returns

@@ -1,15 +1,18 @@
 /* Native kernels for the ``engine="compiled"`` tier.
  *
- * The matching and merge kernels mirror repro/compiled/_kernels_py.py
- * function for function; that module documents the array contracts
- * and the parity obligations.  The compatibility tensor is held to
- * repro.mapping.matching.compatibility_tensor, the NumPy tier's
- * implementation, the seed streams to repro.api.seeding.derive_seed,
- * whose BLAKE2b is written here from RFC 7693, and the uniform defect
- * draw to repro.defects.injection.inject_uniform, which it transcribes.
+ * The compatibility tensor and the mapper kernels are held, sample for
+ * sample, to the NumPy tier: repro.mapping.matching.compatibility_tensor
+ * and the replicas _replica_exact / _replica_hybrid of
+ * repro.mapping.batch_kernel.  The merge pass is held to
+ * repro.boolean.packed._merge_distance_one_values, the seed streams to
+ * repro.api.seeding.derive_seed, whose BLAKE2b is written here from
+ * RFC 7693, and the uniform defect draw to
+ * repro.defects.injection.inject_uniform, which it transcribes.
  * Built by repro/compiled/cext.py with the system C compiler into a
  * cached shared library and driven through ctypes — no Python.h, so
- * any plain `cc -O2 -fPIC -shared` works.
+ * any plain `cc -O2 -fPIC -shared` of GCC or Clang (whose
+ * __builtin_ctzll and __builtin_popcountll scan the packed row words)
+ * works.
  */
 
 #include <stdint.h>
@@ -22,53 +25,65 @@
 
 #define DONT_CARE 2
 
-/* First right node of `row` that is allowed and unmatched, or -1. */
-static int64_t first_free(const uint8_t *row, int64_t num_right,
-                          const uint8_t *allowed, const int64_t *match_right) {
-    for (int64_t h = 0; h < num_right; h++)
-        if (row[h] && allowed[h] && match_right[h] < 0)
-            return h;
+/* Row sets are packed into uint64 words: row h is bit h % 64 of word
+ * h / 64, and the bits past the last row are zero. */
+#define WORD(h) ((h) >> 6)
+#define BIT(h) ((uint64_t)1 << ((h) & 63))
+
+/* The lowest row in both sets, or -1. */
+static int64_t first_common(const uint64_t *a, const uint64_t *b,
+                            int64_t words) {
+    for (int64_t w = 0; w < words; w++) {
+        uint64_t both = a[w] & b[w];
+        if (both)
+            return w * 64 + __builtin_ctzll(both);
+    }
     return -1;
 }
 
 /* One augmenting-path search from `root` (iterative DFS).  Each left
- * row on the path is first scanned for a free allowed right node, so a
- * path ends as soon as one is adjacent; only then does the search
- * descend through the matched ones.  adj is num_left x num_right
- * row-major; `allowed` additionally restricts the usable right nodes
- * (the free-row mask of the output stage); stack_* / via are
- * caller-provided scratch of num_right + 2. */
-static int try_augment(const uint8_t *adj, int64_t num_right,
-                       const uint8_t *allowed, int64_t *match_right,
-                       uint8_t *visited, int64_t root, int64_t *stack_left,
+ * row on the path is first scanned for a free allowed right node
+ * (`avail`: the allowed right nodes still unmatched), so a path ends as
+ * soon as one is adjacent; only then does the search descend through
+ * the matched ones, lowest first.  adj holds each left row's right
+ * nodes in `words` words; `unvisited` starts as the allowed set and
+ * loses each node the search enters.  stack_left / stack_pos / via are
+ * caller-provided scratch of num_right + 2; stack_pos is the word a
+ * row's descent resumes at, -1 before its free scan. */
+static int try_augment(const uint64_t *adj, int64_t words, uint64_t *avail,
+                       uint64_t *unvisited, int64_t *match_right,
+                       int64_t root, int64_t *stack_left,
                        int64_t *stack_pos, int64_t *via) {
     int64_t top = 0;
     stack_left[0] = root;
     stack_pos[0] = -1;
     while (top >= 0) {
         int64_t left = stack_left[top];
-        int64_t h = stack_pos[top];
-        const uint8_t *row = adj + left * num_right;
-        if (h < 0) {
-            int64_t free_h = first_free(row, num_right, allowed, match_right);
+        int64_t w = stack_pos[top];
+        const uint64_t *row = adj + left * words;
+        if (w < 0) {
+            int64_t free_h = first_common(row, avail, words);
             if (free_h >= 0) {
                 /* Augmenting path found: flip matches along it. */
                 match_right[free_h] = left;
+                avail[WORD(free_h)] &= ~BIT(free_h);
                 for (int64_t t = top - 1; t >= 0; t--)
                     match_right[via[t]] = stack_left[t];
                 return 1;
             }
-            h = 0;
+            w = 0;
         }
-        /* Every allowed neighbour of `left` is matched: descend. */
-        while (h < num_right && !(row[h] && allowed[h] && !visited[h]))
-            h++;
-        if (h == num_right) {
+        /* Every allowed neighbour of `left` is matched: descend.  The
+         * nodes below the resume word are all visited already. */
+        while (w < words && !(row[w] & unvisited[w]))
+            w++;
+        if (w == words) {
             top--;
             continue;
         }
-        visited[h] = 1;
-        stack_pos[top] = h + 1;
+        int64_t h = w * 64 + __builtin_ctzll(row[w] & unvisited[w]);
+        unvisited[w] &= ~BIT(h);
+        stack_pos[top] = w;
         via[top] = h;
         top++;
         stack_left[top] = match_right[h];
@@ -77,119 +92,130 @@ static int try_augment(const uint8_t *adj, int64_t num_right,
     return 0;
 }
 
-/* Whether every left row of adj can be matched: a greedy first-free
- * pass, then one augmenting search per row it left unmatched.
- * `pending` is scratch of num_left. */
-static int saturating(const uint8_t *adj, int64_t num_left, int64_t num_right,
-                      const uint8_t *allowed, int64_t *match_right,
-                      uint8_t *visited, int64_t *stack_left,
+/* Whether every left row of adj can be matched to a right node of
+ * `allowed`: a greedy first-free pass, then one augmenting search per
+ * row it left unmatched.  avail / unvisited are scratch of `words`,
+ * `pending` of num_left. */
+static int saturating(const uint64_t *adj, int64_t num_left, int64_t words,
+                      int64_t num_right, const uint64_t *allowed,
+                      int64_t *match_right, uint64_t *avail,
+                      uint64_t *unvisited, int64_t *stack_left,
                       int64_t *stack_pos, int64_t *via, int64_t *pending) {
     int64_t num_pending = 0;
     for (int64_t h = 0; h < num_right; h++)
         match_right[h] = -1;
+    memcpy(avail, allowed, (size_t)words * sizeof *avail);
     for (int64_t left = 0; left < num_left; left++) {
-        int64_t h = first_free(adj + left * num_right, num_right, allowed,
-                               match_right);
-        if (h >= 0)
+        int64_t h = first_common(adj + left * words, avail, words);
+        if (h >= 0) {
             match_right[h] = left;
-        else
+            avail[WORD(h)] &= ~BIT(h);
+        } else {
             pending[num_pending++] = left;
+        }
     }
     for (int64_t k = 0; k < num_pending; k++) {
-        memset(visited, 0, (size_t)num_right);
-        if (!try_augment(adj, num_right, allowed, match_right, visited,
+        memcpy(unvisited, allowed, (size_t)words * sizeof *unvisited);
+        if (!try_augment(adj, words, avail, unvisited, match_right,
                          pending[k], stack_left, stack_pos, via))
             return 0;
     }
     return 1;
 }
 
-/* Run one built-in mapper over every undecided sample of a batch.
- * compat: num_samples x num_fm_rows x num_rows, closed: num_samples x
- * num_rows (both uint8 row-major).  Every assignment the greedy or
- * hybrid mode finds is checked (injective, every pair compatible) into
- * valid[].  Returns 0, or -1 on allocation failure (the ctypes wrapper
- * raises MemoryError). */
-int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
+/* Run one built-in mapper over every sample of a packed batch.
+ * compat: num_samples x num_fm_rows x words uint64 with words =
+ * ceil(num_rows / 64), each FM row's compatible crossbar rows with the
+ * stuck-closed rows already cleared (repro_compatibility_tensor's
+ * output); closed: num_samples x num_rows uint8.  Every assignment the
+ * greedy or hybrid mode finds is checked (injective, every pair
+ * compatible) into valid[].  Returns 0, or -1 on allocation failure
+ * (the ctypes wrapper raises MemoryError). */
+int repro_map_builtin_batch(const uint64_t *compat, const uint8_t *closed,
                             int64_t num_samples, int64_t num_fm_rows,
                             int64_t num_rows, int64_t num_minterms,
                             int32_t mode, uint8_t *success,
                             int64_t *backtracks, uint8_t *valid) {
-    uint8_t *allowed_all = malloc((size_t)num_rows);
-    int64_t *match_right = malloc((size_t)num_rows * sizeof(int64_t));
-    uint8_t *visited = malloc((size_t)num_rows);
-    int64_t *stack_left = malloc((size_t)(num_rows + 2) * sizeof(int64_t));
-    int64_t *stack_pos = malloc((size_t)(num_rows + 2) * sizeof(int64_t));
-    int64_t *via = malloc((size_t)(num_rows + 2) * sizeof(int64_t));
-    uint8_t *free_row = malloc((size_t)num_rows);
-    int64_t *owner = malloc((size_t)num_rows * sizeof(int64_t));
-    int64_t *assigned = malloc((size_t)num_fm_rows * sizeof(int64_t));
-    int64_t *pending = malloc((size_t)num_fm_rows * sizeof(int64_t));
-    uint8_t *seen = malloc((size_t)num_rows);
-    if (!allowed_all || !match_right || !visited || !stack_left ||
-        !stack_pos || !via || !free_row || !owner || !assigned ||
-        !pending || !seen) {
-        free(allowed_all); free(match_right); free(visited);
-        free(stack_left); free(stack_pos); free(via);
-        free(free_row); free(owner); free(assigned); free(pending);
-        free(seen);
+    int64_t words = (num_rows + 63) / 64;
+    /* One spare element each, so an empty batch never asks for malloc(0). */
+    size_t set_bytes = (size_t)(words + 1) * sizeof(uint64_t);
+    size_t row_bytes = (size_t)(num_rows + 2) * sizeof(int64_t);
+    size_t fm_bytes = (size_t)(num_fm_rows + 1) * sizeof(int64_t);
+    uint64_t *every_row = malloc(set_bytes);
+    uint64_t *open = malloc(set_bytes);
+    uint64_t *free_set = malloc(set_bytes);
+    uint64_t *avail = malloc(set_bytes);
+    uint64_t *unvisited = malloc(set_bytes);
+    uint64_t *seen = malloc(set_bytes);
+    int64_t *match_right = malloc(row_bytes);
+    int64_t *stack_left = malloc(row_bytes);
+    int64_t *stack_pos = malloc(row_bytes);
+    int64_t *via = malloc(row_bytes);
+    int64_t *owner = malloc(row_bytes);
+    int64_t *assigned = malloc(fm_bytes);
+    int64_t *pending = malloc(fm_bytes);
+    if (!every_row || !open || !free_set || !avail || !unvisited || !seen ||
+        !match_right || !stack_left || !stack_pos || !via || !owner ||
+        !assigned || !pending) {
+        free(every_row); free(open); free(free_set); free(avail);
+        free(unvisited); free(seen); free(match_right); free(stack_left);
+        free(stack_pos); free(via); free(owner); free(assigned);
+        free(pending);
         return -1;
     }
-    memset(allowed_all, 1, (size_t)num_rows);
+    memset(every_row, 0, set_bytes);
+    for (int64_t h = 0; h < num_rows; h++)
+        every_row[WORD(h)] |= BIT(h);
 
     for (int64_t s = 0; s < num_samples; s++) {
-        const uint8_t *adj = compat + s * num_fm_rows * num_rows;
+        const uint64_t *adj = compat + s * num_fm_rows * words;
         const uint8_t *closed_s = closed + s * num_rows;
         success[s] = 0;
         backtracks[s] = 0;
         valid[s] = 1;
 
         if (mode == MODE_EXACT) {
-            success[s] = (uint8_t)saturating(adj, num_fm_rows, num_rows,
-                                             allowed_all, match_right,
-                                             visited, stack_left, stack_pos,
-                                             via, pending);
+            success[s] = (uint8_t)saturating(adj, num_fm_rows, words,
+                                             num_rows, every_row,
+                                             match_right, avail, unvisited,
+                                             stack_left, stack_pos, via,
+                                             pending);
             continue;
         }
 
         /* Greedy / hybrid: first fit with (hybrid) one-step
          * backtracking, then the output-stage saturating matching. */
         int64_t bt = 0;
+        memset(open, 0, (size_t)words * sizeof *open);
         for (int64_t h = 0; h < num_rows; h++) {
-            free_row[h] = closed_s[h] ? 0 : 1;
+            open[WORD(h)] |= (uint64_t)(closed_s[h] == 0) << (h & 63);
             owner[h] = -1;
         }
+        memcpy(free_set, open, (size_t)words * sizeof *free_set);
         for (int64_t f = 0; f < num_fm_rows; f++)
             assigned[f] = -1;
         int ok = 1;
         for (int64_t i = 0; i < num_minterms; i++) {
-            const uint8_t *row = adj + i * num_rows;
-            int64_t placed = -1;
-            for (int64_t h = 0; h < num_rows; h++) {
-                if (free_row[h] && row[h]) {
-                    placed = h;
-                    break;
-                }
-            }
-            if (placed < 0 && mode == MODE_HYBRID) {
-                for (int64_t h = 0; h < num_rows; h++) {
-                    if (free_row[h] || !row[h])
-                        continue;
+            const uint64_t *row = adj + i * words;
+            int64_t placed = first_common(row, free_set, words);
+            /* The occupied compatible rows in ascending order; each
+             * visit is one counted backtrack whether or not the
+             * displaced product can be relocated.  Only open rows are
+             * ever occupied, so every one has an owner. */
+            for (int64_t w = 0; placed < 0 && mode == MODE_HYBRID &&
+                                w < words; w++) {
+                uint64_t taken = row[w] & open[w] & ~free_set[w];
+                for (; taken; taken &= taken - 1) {
+                    int64_t h = w * 64 + __builtin_ctzll(taken);
                     bt++;
                     int64_t occupant = owner[h];
-                    const uint8_t *orow = adj + occupant * num_rows;
-                    int64_t reloc = -1;
-                    for (int64_t h2 = 0; h2 < num_rows; h2++) {
-                        if (free_row[h2] && orow[h2]) {
-                            reloc = h2;
-                            break;
-                        }
-                    }
+                    int64_t reloc = first_common(adj + occupant * words,
+                                                 free_set, words);
                     if (reloc < 0)
                         continue;
                     owner[reloc] = occupant;
                     assigned[occupant] = reloc;
-                    free_row[reloc] = 0;
+                    free_set[WORD(reloc)] &= ~BIT(reloc);
                     placed = h;
                     break;
                 }
@@ -200,7 +226,7 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
             }
             owner[placed] = i;
             assigned[i] = placed;
-            free_row[placed] = 0;
+            free_set[WORD(placed)] &= ~BIT(placed);
         }
         backtracks[s] = bt;
         if (!ok)
@@ -209,110 +235,107 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
         int64_t num_outputs = num_fm_rows - num_minterms;
         if (num_outputs > 0) {
             int64_t nfree = 0;
-            for (int64_t h = 0; h < num_rows; h++)
-                if (free_row[h])
-                    nfree++;
+            for (int64_t w = 0; w < words; w++)
+                nfree += __builtin_popcountll(free_set[w]);
             if (nfree < num_outputs)
                 continue;
-            if (!saturating(adj + num_minterms * num_rows, num_outputs,
-                            num_rows, free_row, match_right, visited,
-                            stack_left, stack_pos, via, pending))
+            if (!saturating(adj + num_minterms * words, num_outputs, words,
+                            num_rows, free_set, match_right, avail,
+                            unvisited, stack_left, stack_pos, via, pending))
                 continue;
             for (int64_t h = 0; h < num_rows; h++)
                 if (match_right[h] >= 0)
                     assigned[num_minterms + match_right[h]] = h;
         }
         success[s] = 1;
-        memset(seen, 0, (size_t)num_rows);
+        memset(seen, 0, (size_t)words * sizeof *seen);
         for (int64_t f = 0; f < num_fm_rows; f++) {
-            int64_t row = assigned[f];
-            if (row < 0 || seen[row] || !adj[f * num_rows + row]) {
+            int64_t h = assigned[f];
+            if (h < 0 || (seen[WORD(h)] & BIT(h)) ||
+                !(adj[f * words + WORD(h)] & BIT(h))) {
                 valid[s] = 0;
                 break;
             }
-            seen[row] = 1;
+            seen[WORD(h)] |= BIT(h);
         }
     }
 
-    free(allowed_all); free(match_right); free(visited);
-    free(stack_left); free(stack_pos); free(via);
-    free(free_row); free(owner); free(assigned); free(pending);
-    free(seen);
+    free(every_row); free(open); free(free_set); free(avail);
+    free(unvisited); free(seen); free(match_right); free(stack_left);
+    free(stack_pos); free(via); free(owner); free(assigned); free(pending);
     return 0;
 }
 
-/* Pack each row's set cells into uint64 column words, word-major: bit c
- * of out[w * rows + r] is column 64 w + c of row r.  Each word is XORed
- * with `flip`, so all ones packs the zero cells instead. */
-static void pack_rows(const uint8_t *cells, int64_t rows, int64_t columns,
-                      int64_t words, uint64_t flip, uint64_t *out) {
-    for (int64_t r = 0; r < rows; r++) {
-        const uint8_t *row = cells + r * columns;
-        for (int64_t w = 0; w < words; w++) {
-            int64_t lo = w * 64;
-            int64_t width = columns - lo < 64 ? columns - lo : 64;
-            uint64_t word = 0;
-            for (int64_t c = 0; c < width; c++)
-                word |= (uint64_t)(row[lo + c] != 0) << c;
-            uint64_t valid = width == 64 ? ~(uint64_t)0
-                                         : ((uint64_t)1 << width) - 1;
-            out[w * rows + r] = word ^ (flip & valid);
-        }
-    }
-}
-
-/* The compatibility tensor: out[s, r, h] = 1 iff crossbar row h of
- * sample s has every device FM row r needs (fm_row & missing == 0 on
- * the packed column words).  fm: num_fm_rows x num_columns, cm:
- * num_samples x num_rows x num_columns, out: num_samples x num_fm_rows
- * x num_rows, all uint8 row-major.  Returns 0, or -1 on allocation
- * failure. */
+/* The packed compatibility tensor: bit h % 64 of out[(s * num_fm_rows
+ * + r) * words + h / 64], words = ceil(num_rows / 64), is set iff
+ * crossbar row h of sample s is not stuck-closed and has every device
+ * FM row r needs; the padding bits are zero.  Each sample's crossbar is packed
+ * into one row set per column, the rows missing that column's device
+ * (word w of every column's set at missing[w * num_columns + c]); an FM
+ * row's words are the complement of the OR of its required columns'
+ * sets, less the stuck-closed rows.  fm: num_fm_rows x
+ * num_columns, cm: num_samples x num_rows x num_columns, closed:
+ * num_samples x num_rows, all uint8 row-major.  Returns 0, or -1 on
+ * allocation failure. */
 int repro_compatibility_tensor(const uint8_t *fm, const uint8_t *cm,
-                               int64_t num_samples, int64_t num_fm_rows,
-                               int64_t num_rows, int64_t num_columns,
-                               uint8_t *out) {
-    int64_t words = (num_columns + 63) / 64;
-    /* One spare word each, so an empty matrix never asks for malloc(0). */
-    uint64_t *need = malloc((size_t)(num_fm_rows * words + 1) * sizeof(uint64_t));
-    uint64_t *missing = malloc((size_t)(num_rows * words + 1) * sizeof(uint64_t));
-    uint64_t *clash = malloc((size_t)(num_rows + 1) * sizeof(uint64_t));
-    if (!need || !missing || !clash) {
-        free(need); free(missing); free(clash);
+                               const uint8_t *closed, int64_t num_samples,
+                               int64_t num_fm_rows, int64_t num_rows,
+                               int64_t num_columns, uint64_t *out) {
+    int64_t words = (num_rows + 63) / 64;
+    /* needs[starts[r] .. starts[r + 1]] lists FM row r's columns.  One
+     * spare element each, so an empty matrix never asks for malloc(0). */
+    int64_t *needs = malloc((size_t)(num_fm_rows * num_columns + 1)
+                            * sizeof(int64_t));
+    int64_t *starts = malloc((size_t)(num_fm_rows + 1) * sizeof(int64_t));
+    uint64_t *missing = malloc((size_t)(num_columns * words + 1)
+                               * sizeof(uint64_t));
+    uint64_t *open = malloc((size_t)(words + 1) * sizeof(uint64_t));
+    if (!needs || !starts || !missing || !open) {
+        free(needs); free(starts); free(missing); free(open);
         return -1;
     }
-    pack_rows(fm, num_fm_rows, num_columns, words, 0, need);
+    int64_t count = 0;
+    for (int64_t r = 0; r < num_fm_rows; r++) {
+        starts[r] = count;
+        for (int64_t c = 0; c < num_columns; c++)
+            if (fm[r * num_columns + c])
+                needs[count++] = c;
+    }
+    starts[num_fm_rows] = count;
     for (int64_t s = 0; s < num_samples; s++) {
-        pack_rows(cm + s * num_rows * num_columns, num_rows, num_columns,
-                  words, ~(uint64_t)0, missing);
-        uint8_t *fits = out + s * num_fm_rows * num_rows;
-        for (int64_t r = 0; r < num_fm_rows; r++, fits += num_rows) {
-            if (words == 1) {
-                uint64_t needed = need[r];
-                for (int64_t h = 0; h < num_rows; h++)
-                    fits[h] = (needed & missing[h]) == 0;
-                continue;
-            }
-            /* Word by word over all crossbar rows: contiguous loops. */
-            memset(clash, 0, (size_t)num_rows * sizeof(uint64_t));
+        const uint8_t *cells = cm + s * num_rows * num_columns;
+        const uint8_t *closed_s = closed + s * num_rows;
+        memset(missing, 0, (size_t)(num_columns * words) * sizeof *missing);
+        memset(open, 0, (size_t)words * sizeof *open);
+        for (int64_t h = 0; h < num_rows; h++) {
+            const uint8_t *row = cells + h * num_columns;
+            uint64_t *lacks = missing + WORD(h) * num_columns;
+            int shift = (int)(h & 63);
+            for (int64_t c = 0; c < num_columns; c++)
+                lacks[c] |= (uint64_t)(row[c] == 0) << shift;
+            open[WORD(h)] |= (uint64_t)(closed_s[h] == 0) << shift;
+        }
+        uint64_t *fits = out + s * num_fm_rows * words;
+        for (int64_t r = 0; r < num_fm_rows; r++, fits += words) {
             for (int64_t w = 0; w < words; w++) {
-                uint64_t needed = need[w * num_fm_rows + r];
-                const uint64_t *lacks = missing + w * num_rows;
-                if (needed)
-                    for (int64_t h = 0; h < num_rows; h++)
-                        clash[h] |= needed & lacks[h];
+                const uint64_t *lacks = missing + w * num_columns;
+                uint64_t clash = 0;
+                for (int64_t k = starts[r]; k < starts[r + 1]; k++)
+                    clash |= lacks[needs[k]];
+                fits[w] = ~clash & open[w];
             }
-            for (int64_t h = 0; h < num_rows; h++)
-                fits[h] = clash[h] == 0;
         }
     }
-    free(need); free(missing); free(clash);
+    free(needs); free(starts); free(missing); free(open);
     return 0;
 }
 
-/* The packed minimiser's distance-1 merge pass (see _kernels_py.py).
- * values: num_cubes x num_inputs uint8; out must hold num_cubes x
- * num_inputs.  Returns the surviving row count, or -1 on allocation
- * failure. */
+/* The packed minimiser's distance-1 merge pass: the (i, j) schedule of
+ * repro.boolean.packed._merge_distance_one_values, before its dedupe
+ * and containment post-passes (the caller applies those).  values:
+ * num_cubes x num_inputs uint8 (0 / 1 / DONT_CARE); out must hold
+ * num_cubes x num_inputs.  Returns the surviving row count, or -1 on
+ * allocation failure. */
 int64_t repro_merge_distance_one(const uint8_t *values, int64_t num_cubes,
                                  int64_t num_inputs, uint8_t *out) {
     if (num_cubes == 0)

@@ -99,16 +99,16 @@ def build_library(build_root: str | os.PathLike | None = None) -> Path:
 def _load(lib_path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(lib_path))
     lib.repro_map_builtin_batch.argtypes = [
-        _U8, _U8,
+        _U64, _U8,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int32,
         _U8, _I64, _U8,
     ]
     lib.repro_map_builtin_batch.restype = ctypes.c_int
     lib.repro_compatibility_tensor.argtypes = [
-        _U8, _U8,
+        _U8, _U8, _U8,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _U8,
+        _U64,
     ]
     lib.repro_compatibility_tensor.restype = ctypes.c_int
     lib.repro_merge_distance_one.argtypes = [
@@ -129,6 +129,11 @@ def _load(lib_path: Path) -> ctypes.CDLL:
     return lib
 
 
+def row_words(rows: int) -> int:
+    """``uint64`` words per FM row of the packed tensor over ``rows`` rows."""
+    return -(-rows // 64)
+
+
 def _as_u8(array) -> np.ndarray:
     """A C-contiguous uint8 view of a 0/1 array (bool is viewed, not copied)."""
     array = np.ascontiguousarray(array)
@@ -146,13 +151,32 @@ class CKernels:
         self._lib = lib
 
     def map_builtin_batch(self, compat, closed, num_minterms, *, kind):
-        compat = _as_u8(compat)
+        """Settle one built-in mapper over every sample of a packed tensor.
+
+        ``compat`` is :meth:`compatibility_tensor`'s ``uint64 (samples,
+        fm_rows, words)`` output and ``closed`` the ``(samples, rows)``
+        stuck-closed row mask it was built with.  Returns ``(success
+        uint8[s], backtracks int64[s], valid uint8[s])``; ``valid`` is 0
+        where a greedy or hybrid success failed the assignment check.
+        """
+        compat = np.ascontiguousarray(compat)
         closed = _as_u8(closed)
-        num_samples, num_fm_rows, num_rows = compat.shape
-        if closed.shape != (num_samples, num_rows):
+        if compat.dtype != np.uint64 or compat.ndim != 3:
+            raise ValueError(
+                f"expected packed uint64 (samples, fm_rows, words) row "
+                f"words, got {compat.dtype} {compat.shape}"
+            )
+        num_samples, num_fm_rows, words = compat.shape
+        if closed.ndim != 2 or closed.shape[0] != num_samples:
             raise ValueError(
                 f"closed mask {closed.shape} does not match the tensor "
                 f"{compat.shape}"
+            )
+        num_rows = closed.shape[1]
+        if words != row_words(num_rows):
+            raise ValueError(
+                f"{words} words per FM row cannot hold {num_rows} crossbar "
+                f"rows; that takes {row_words(num_rows)}"
             )
         if not 0 <= num_minterms <= num_fm_rows:
             raise ValueError(f"{num_minterms} minterm rows of {num_fm_rows}")
@@ -160,7 +184,7 @@ class CKernels:
         backtracks = np.zeros(num_samples, dtype=np.int64)
         valid = np.ones(num_samples, dtype=np.uint8)
         status = self._lib.repro_map_builtin_batch(
-            compat.ctypes.data_as(_U8),
+            compat.ctypes.data_as(_U64),
             closed.ctypes.data_as(_U8),
             num_samples, num_fm_rows, num_rows, num_minterms,
             _MODES[kind],
@@ -172,12 +196,15 @@ class CKernels:
             raise MemoryError("repro_map_builtin_batch scratch allocation")
         return success, backtracks, valid
 
-    def compatibility_tensor(self, fm_rows, cm_stack):
-        """Boolean ``(samples, fm_rows, rows)`` tensor, bit-packed in C.
+    def compatibility_tensor(self, fm_rows, cm_stack, closed=None):
+        """The packed ``uint64 (samples, fm_rows, words)`` tensor.
 
-        Same contract as the NumPy tier's
-        :func:`repro.mapping.matching.compatibility_tensor`, without a
-        BLAS call.
+        Bit ``h % 64`` of word ``h // 64`` of ``[s, r]`` is set when
+        crossbar row ``h`` of sample ``s`` can host FM row ``r`` (the
+        contract of the NumPy tier's
+        :func:`repro.mapping.matching.compatibility_tensor`) and is not
+        stuck-closed in ``closed`` (``(samples, rows)``, default none);
+        ``words`` is ``ceil(rows / 64)`` and the padding bits are zero.
         """
         fm_rows = _as_u8(fm_rows)
         cm_stack = _as_u8(cm_stack)
@@ -188,12 +215,23 @@ class CKernels:
                 f"column count mismatch: FM has {num_columns}, CM stack "
                 f"has {cm_columns}"
             )
-        out = np.empty((num_samples, num_fm_rows, num_rows), dtype=bool)
+        if closed is None:
+            closed = np.zeros((num_samples, num_rows), dtype=np.uint8)
+        closed = _as_u8(closed)
+        if closed.shape != (num_samples, num_rows):
+            raise ValueError(
+                f"closed mask {closed.shape} does not match the CM stack "
+                f"{cm_stack.shape}"
+            )
+        out = np.empty(
+            (num_samples, num_fm_rows, row_words(num_rows)), dtype=np.uint64
+        )
         status = self._lib.repro_compatibility_tensor(
             fm_rows.ctypes.data_as(_U8),
             cm_stack.ctypes.data_as(_U8),
+            closed.ctypes.data_as(_U8),
             num_samples, num_fm_rows, num_rows, num_columns,
-            out.ctypes.data_as(_U8),
+            out.ctypes.data_as(_U64),
         )
         if status != 0:
             raise MemoryError("repro_compatibility_tensor scratch allocation")
@@ -269,12 +307,14 @@ def kernels() -> CKernels:
     """Build + load the library and smoke-test every entry point."""
     backend = CKernels(_load(build_library()))
     # A trivial call per kernel so a broken build surfaces at probe
-    # time, not deep inside an experiment.
+    # time, not deep inside an experiment.  Two crossbar rows, the
+    # second stuck-closed: only row 0 fits.
+    closed = np.array([[0, 1]], dtype=np.uint8)
     compat = backend.compatibility_tensor(
-        np.ones((1, 1), dtype=np.uint8), np.ones((1, 1, 1), dtype=np.uint8)
+        np.ones((1, 1), dtype=np.uint8), np.ones((1, 2, 1), dtype=np.uint8),
+        closed,
     )
-    assert compat.tolist() == [[[True]]]
-    closed = np.zeros((1, 1), dtype=np.uint8)
+    assert compat.tolist() == [[[1]]]
     success, backtracks, valid = backend.map_builtin_batch(
         compat, closed, 1, kind="hybrid"
     )

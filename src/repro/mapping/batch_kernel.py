@@ -257,9 +257,9 @@ def _run_builtin_mappers(
     :func:`mapper_kind`, and ``feasible`` lists the chunk offsets that
     passed the structural screen.  ``kernels`` is the loaded
     :mod:`repro.compiled` backend (or ``None``): when given, it also
-    builds the compatibility tensor, and each mapper settles a whole
-    sub-batch in one native call instead of the per-sample NumPy
-    replicas.
+    builds the compatibility tensor, packed into row words, and each
+    mapper settles a whole sub-batch in one native call instead of the
+    per-sample NumPy replicas.
     """
     num_minterms = fm.num_minterm_rows
     sub_size = max(1, MAX_TENSOR_CELLS // max(1, batch.rows * fm.num_rows))
@@ -269,12 +269,10 @@ def _run_builtin_mappers(
         idx = feasible[lo : lo + sub_size]
 
         shared_start = time.perf_counter()
-        compat = compatibility_tensor(
-            fm.matrix, batch.functional[idx], kernels=kernels
-        )
-        # Rows poisoned by stuck-closed defects can never host anything.
         closed = batch.closed_rows[idx]
-        compat &= ~closed[:, None, :]
+        compat = compatibility_tensor(
+            fm.matrix, batch.functional[idx], closed=closed, kernels=kernels
+        )
         shared_seconds += time.perf_counter() - shared_start
 
         for name, kind in kinds.items():

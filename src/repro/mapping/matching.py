@@ -59,7 +59,11 @@ def compatibility_matrix(
 
 
 def compatibility_tensor(
-    fm_rows: np.ndarray, cm_stack: np.ndarray, *, kernels=None
+    fm_rows: np.ndarray,
+    cm_stack: np.ndarray,
+    *,
+    closed: np.ndarray | None = None,
+    kernels=None,
 ) -> np.ndarray:
     """Batched :func:`compatibility_matrix` over a stack of crossbars.
 
@@ -69,11 +73,14 @@ def compatibility_tensor(
     of sample ``s`` can host FM row ``r``, laid out one FM row at a
     time as the mappers scan it.  One broadcasted matmul replaces the
     per-sample ``fm & ~cm`` einsum, which is where the vectorized
-    Monte-Carlo engine gets its throughput.
+    Monte-Carlo engine gets its throughput.  ``closed``, a ``(samples,
+    H)`` mask of stuck-closed rows, clears those rows: they can never
+    host anything.
 
     ``kernels`` is a loaded :mod:`repro.compiled` backend; when given,
-    the tensor is built by its bit-packed native kernel instead of the
-    float32 BLAS matmul (identical result, no BLAS threads).
+    its native kernel builds the same cells without a BLAS call, packed
+    as its settle kernels read them: ``uint64 (samples, R, ceil(H /
+    64))``, bit ``h % 64`` of word ``h // 64`` holding cell ``[s, r, h]``.
     """
     fm_rows = np.asarray(fm_rows)
     cm_stack = np.asarray(cm_stack)
@@ -88,14 +95,17 @@ def compatibility_tensor(
             f"has {cm_stack.shape[2]}"
         )
     if kernels is not None:
-        return kernels.compatibility_tensor(fm_rows, cm_stack)
+        return kernels.compatibility_tensor(fm_rows, cm_stack, closed)
     # conflicts[s, r, h] — number of devices FM row r needs that CM row h
     # of sample s misses; float32 matmul hits BLAS and the counts (< 2^24)
     # stay exact.
     missing = (cm_stack == 0).astype(np.float32)
     needed = (fm_rows != 0).astype(np.float32)
     conflicts = needed @ missing.transpose(0, 2, 1)
-    return conflicts == 0
+    compatible = conflicts == 0
+    if closed is not None:
+        compatible &= ~np.asarray(closed, dtype=bool)[:, None, :]
+    return compatible
 
 
 def matching_matrix(

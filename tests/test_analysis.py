@@ -1128,6 +1128,16 @@ class TestAnalysisScenarios:
         assert "computed" not in err
         assert not store.exists()
 
+    def test_unknown_mapper_leaves_no_unfinished_block(self, tmp_path, capsys):
+        store = tmp_path / "bad.jsonl"
+        assert (
+            main(["analyze", "yield", "--circuit", "misex1", "--algorithms",
+                  "nosuch", "--jsonl", str(store)])
+            == 2
+        )
+        assert "unknown algorithm 'nosuch'" in capsys.readouterr().err
+        assert not store.exists() or "begin" not in stored_kinds(store)
+
     def test_curve_points_are_stored_scenarios(self, tmp_path, capsys):
         store = tmp_path / "a.jsonl"
         assert (

@@ -6,10 +6,11 @@ Covers the ISSUE 8 acceptance matrix:
   rejection of unknown names, and the ``auto`` → compiled →
   vectorized fallback chain (simulated backend absence via a
   monkeypatched probe and the ``REPRO_COMPILED`` kill switch);
-* kernel-level differentials — the plain-Python oracle in
-  :mod:`repro.compiled._kernels_py` against the NumPy replicas, and the
-  loaded C backend against that oracle, from toy instances up to Table
-  II-sized matchings and the native compatibility tensor;
+* kernel-level differentials — the loaded C backend's packed
+  compatibility tensor against the NumPy tensor, its mapper kernels
+  against the NumPy replicas sample for sample, from toy instances up
+  to Table II-sized matchings, and its merge pass against the NumPy
+  walk;
 * end-to-end parity — compiled vs vectorized vs reference counting
   statistics, including multilevel and redundancy sweeps, and the
   packed Boolean minimiser with ``compiled`` merge passes;
@@ -40,11 +41,15 @@ from repro.api.scenarios import FunctionSource, Scenario
 from repro.api.seeding import derive_seed
 from repro.boolean.cover import Cover
 from repro.boolean.minimize import minimize_cover
-from repro.boolean.packed import _merge_distance_one_values
+from repro.boolean.packed import (
+    _dedupe_values,
+    _merge_distance_one_values,
+    _without_contained_values,
+)
 from repro.boolean.random_functions import RandomFunctionSpec, random_cover
 from repro.circuits import get_benchmark
 from repro.cli import build_parser
-from repro.compiled import _kernels_py as kernels_py
+from repro.compiled import cext
 from repro.defects.batch import DefectBatch
 from repro.defects.defect_map import DefectMap
 from repro.defects.injection import draw_uniform
@@ -127,6 +132,15 @@ class TestEngineRegistry:
         assert resolve_mapping_engine("compiled") == "compiled"
         assert resolve_boolean_engine("auto", 5) == "compiled"
 
+    def test_kernels_load_wherever_a_compiler_exists(self):
+        # The probe swallows every failure, so that a machine without a
+        # compiler degrades quietly.  Building and smoke-calling the
+        # kernels directly keeps a broken kernel from passing as an
+        # absent one and skipping every differential below.
+        if cext._compiler() is None:
+            pytest.skip("no C compiler on this machine")
+        assert cext.kernels().backend == "cext"
+
     def test_auto_degrades_without_any_backend(self, clean_backend):
         clean_backend.setattr(compiled, "_probe", lambda: (None, None))
         compiled.reset_compiled_backend()
@@ -160,8 +174,31 @@ class TestEngineRegistry:
 
 
 # ----------------------------------------------------------------------
-# Kernel differentials: portable kernels vs the NumPy replicas
+# Kernel differentials: the C backend vs the NumPy tier
 # ----------------------------------------------------------------------
+def pack_rows(cells) -> np.ndarray:
+    """A byte instance's last axis as little-endian ``uint64`` row words.
+
+    Bit ``h % 64`` of word ``h // 64`` is cell ``h`` and the bits past
+    the last cell are zero: the compiled tier's packed tensor layout.
+    """
+    cells = np.asarray(cells, dtype=bool)
+    rows = cells.shape[-1]
+    padded = np.zeros(cells.shape[:-1] + (64 * -(-rows // 64),), dtype=bool)
+    padded[..., :rows] = cells
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(
+        np.uint64
+    )
+
+
+def unpack_rows(words: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of :func:`pack_rows`: ``(cells, padding bits)``."""
+    bits = np.unpackbits(
+        words.astype("<u8").view(np.uint8), axis=-1, bitorder="little"
+    ).astype(bool)
+    return bits[..., :rows], bits[..., rows:]
+
+
 def random_instance(rng: np.random.Generator):
     num_minterms = int(rng.integers(1, 7))
     num_outputs = int(rng.integers(0, 3))
@@ -173,53 +210,76 @@ def random_instance(rng: np.random.Generator):
         rng.random((num_samples, num_fm_rows, num_rows)) < density
     ).astype(np.uint8)
     closed = (rng.random((num_samples, num_rows)) < 0.25).astype(np.uint8)
-    # map_sample_batch zeroes closed rows out of the compatibility
-    # tensor before the kernels see it; mirror that here.
+    # The tensor kernel clears the stuck-closed rows before the mapper
+    # kernels see them; mirror that here.
     compat &= 1 - closed[:, None, :]
     return compat, closed, num_minterms
 
 
-class TestKernelOracle:
-    """`_kernels_py` (pure Python) against the NumPy replicas."""
-
-    @pytest.mark.parametrize(
-        "mode,backtracking",
-        [(kernels_py.MODE_GREEDY, False), (kernels_py.MODE_HYBRID, True)],
+def assert_kernels_agree(compat, closed, num_minterms, kind):
+    """C on the packed instance vs the NumPy replicas; returns the successes."""
+    success, backtracks, valid = compiled.get_kernels().map_builtin_batch(
+        pack_rows(compat), closed, num_minterms, kind=kind
     )
-    def test_first_fit_modes_match_replica(self, mode, backtracking):
-        rng = np.random.default_rng(2024 + mode)
-        for _ in range(60):
-            compat, closed, num_minterms = random_instance(rng)
-            success, backtracks, valid = kernels_py.map_builtin_batch(
-                compat, closed, num_minterms, mode
+    for s in range(compat.shape[0]):
+        usable = np.flatnonzero(closed[s] == 0)
+        if kind == "exact":
+            replica = _replica_exact(compat[s].astype(bool), usable)
+        else:
+            replica = _replica_hybrid(
+                compat[s].astype(bool), usable, num_minterms,
+                backtracking=kind == "hybrid",
             )
-            for s in range(compat.shape[0]):
-                usable = np.flatnonzero(closed[s] == 0)
-                ok, bt, good = _replica_hybrid(
-                    compat[s], usable, num_minterms, backtracking=backtracking
-                )
-                assert bool(success[s]) == ok
-                assert int(backtracks[s]) == bt
-                if ok:
-                    assert bool(valid[s]) == good
+        assert (bool(success[s]), int(backtracks[s])) == replica[:2], (kind, s)
+        if success[s]:
+            assert valid[s] and replica[2]
+    return success.astype(bool)
 
-    def test_exact_mode_matches_replica(self):
-        rng = np.random.default_rng(4242)
-        for _ in range(60):
+
+@requires_backend
+class TestLoadedBackend:
+    """The loaded C backend against the NumPy replicas and merge walk."""
+
+    def test_map_builtin_batch_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
             compat, closed, num_minterms = random_instance(rng)
-            success, backtracks, _ = kernels_py.map_builtin_batch(
-                compat, closed, compat.shape[1], kernels_py.MODE_EXACT
-            )
-            assert not backtracks.any()  # the exact mapper never backtracks
-            for s in range(compat.shape[0]):
-                usable = np.flatnonzero(closed[s] == 0)
-                ok, _, _ = _replica_exact(compat[s], usable)
-                assert bool(success[s]) == ok
+            for kind in ("exact", "greedy", "hybrid"):
+                assert_kernels_agree(compat, closed, num_minterms, kind)
 
-    def test_merge_pass_matches_replica(self):
-        rng = random.Random(99)
-        for trial in range(40):
-            num_inputs = rng.randint(2, 8)
+    def test_rejects_shapes_the_kernels_would_overrun(self):
+        kernels = compiled.get_kernels()
+        compat = pack_rows(np.ones((2, 3, 4), dtype=np.uint8))
+        closed = np.zeros((2, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="closed mask"):
+            kernels.map_builtin_batch(
+                compat, np.zeros((3, 4), dtype=np.uint8), 1, kind="exact"
+            )
+        with pytest.raises(ValueError, match="cannot hold 65 crossbar rows"):
+            kernels.map_builtin_batch(
+                compat, np.zeros((2, 65), dtype=np.uint8), 1, kind="exact"
+            )
+        with pytest.raises(ValueError, match="minterm"):
+            kernels.map_builtin_batch(compat, closed, 4, kind="hybrid")
+        with pytest.raises(ValueError, match="packed uint64"):
+            kernels.map_builtin_batch(
+                np.ones((2, 3, 4), dtype=np.uint8), closed, 1, kind="exact"
+            )
+        with pytest.raises(ValueError, match="column count"):
+            kernels.compatibility_tensor(
+                np.ones((3, 5), dtype=np.uint8), np.ones((2, 4, 6), dtype=np.uint8)
+            )
+        with pytest.raises(ValueError, match="closed mask"):
+            kernels.compatibility_tensor(
+                np.ones((3, 6), dtype=np.uint8), np.ones((2, 4, 6), dtype=np.uint8),
+                np.zeros((2, 5), dtype=np.uint8),
+            )
+
+    def test_merge_distance_one_matches_oracle(self):
+        kernels = compiled.get_kernels()
+        rng = random.Random(5)
+        for trial in range(80):
+            num_inputs = rng.randint(2, 10)
             num_cubes = rng.randint(0, 12)
             values = np.array(
                 [
@@ -228,74 +288,11 @@ class TestKernelOracle:
                 ],
                 dtype=np.uint8,
             ).reshape(num_cubes, num_inputs)
-            expected = _merge_distance_one_values(values, compiled=False)
-            from repro.boolean.packed import (
-                _dedupe_values,
-                _without_contained_values,
-            )
-
-            merged = kernels_py.merge_distance_one(values)
-            actual = _without_contained_values(_dedupe_values(merged))
-            assert np.array_equal(actual, expected), f"trial {trial}"
-
-
-@requires_backend
-class TestLoadedBackend:
-    """The loaded C backend against the pure-Python oracle."""
-
-    def test_map_builtin_batch_matches_oracle(self):
-        kernels = compiled.get_kernels()
-        rng = np.random.default_rng(7)
-        modes = {
-            "exact": kernels_py.MODE_EXACT,
-            "greedy": kernels_py.MODE_GREEDY,
-            "hybrid": kernels_py.MODE_HYBRID,
-        }
-        for _ in range(40):
-            compat, closed, num_minterms = random_instance(rng)
-            for kind, mode in modes.items():
-                got = kernels.map_builtin_batch(
-                    compat, closed, num_minterms, kind=kind
-                )
-                want = kernels_py.map_builtin_batch(
-                    compat, closed, num_minterms, mode
-                )
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w), kind
-
-    def test_rejects_shapes_the_kernels_would_overrun(self):
-        kernels = compiled.get_kernels()
-        compat = np.ones((2, 3, 4), dtype=np.uint8)
-        with pytest.raises(ValueError, match="closed mask"):
-            kernels.map_builtin_batch(
-                compat, np.zeros((2, 5), dtype=np.uint8), 1, kind="exact"
-            )
-        with pytest.raises(ValueError, match="minterm"):
-            kernels.map_builtin_batch(
-                compat, np.zeros((2, 4), dtype=np.uint8), 4, kind="hybrid"
-            )
-        with pytest.raises(ValueError, match="column count"):
-            kernels.compatibility_tensor(
-                np.ones((3, 5), dtype=np.uint8), np.ones((2, 4, 6), dtype=np.uint8)
-            )
-
-    def test_merge_distance_one_matches_oracle(self):
-        kernels = compiled.get_kernels()
-        rng = random.Random(5)
-        for _ in range(40):
-            num_inputs = rng.randint(2, 10)
-            num_cubes = rng.randint(0, 10)
-            values = np.array(
-                [
-                    [rng.choice((0, 1, 2)) for _ in range(num_inputs)]
-                    for _ in range(num_cubes)
-                ],
-                dtype=np.uint8,
-            ).reshape(num_cubes, num_inputs)
+            merged = kernels.merge_distance_one(values)
             assert np.array_equal(
-                kernels.merge_distance_one(values),
-                kernels_py.merge_distance_one(values),
-            )
+                _without_contained_values(_dedupe_values(merged)),
+                _merge_distance_one_values(values, compiled=False),
+            ), f"trial {trial}"
 
 
 def _int_id(value: int) -> str:
@@ -490,6 +487,22 @@ def hall_threshold_batch(rng, num_fm_rows: int, num_samples: int):
     return compat, closed
 
 
+def word_boundary_batch(rng, num_rows: int, num_samples: int):
+    """Random samples over ``num_rows`` crossbar rows, three more than FM rows.
+
+    Each sample draws its density between one and four times ln(n) / n,
+    so the first fit usually runs out of free rows and backtracks.
+    """
+    num_fm_rows = max(1, num_rows - 3)
+    closed = rng.random((num_samples, num_rows)) < min(0.2, 1 / num_rows)
+    compat = np.zeros((num_samples, num_fm_rows, num_rows), dtype=bool)
+    for s in range(num_samples):
+        scale = rng.uniform(1.0, 4.0) * np.log(num_rows + 1) / num_rows
+        compat[s] = rng.random((num_fm_rows, num_rows)) < min(1.0, scale)
+    compat &= ~closed[:, None, :]
+    return compat.astype(np.uint8), closed.astype(np.uint8)
+
+
 def long_path_instance(chain: int, *, satisfiable: bool):
     """One sample that only an augmenting path of 2 * chain + 1 edges saturates.
 
@@ -508,30 +521,6 @@ def long_path_instance(chain: int, *, satisfiable: bool):
         closed[0, chain] = 1
         compat &= 1 - closed[:, None, :]
     return compat, closed
-
-
-def assert_kernels_agree(compat, closed, num_minterms, kind):
-    """C vs the Python oracle vs the NumPy replicas; returns the successes."""
-    mode = {"exact": kernels_py.MODE_EXACT, "hybrid": kernels_py.MODE_HYBRID}[kind]
-    got = compiled.get_kernels().map_builtin_batch(
-        compat, closed, num_minterms, kind=kind
-    )
-    want = kernels_py.map_builtin_batch(compat, closed, num_minterms, mode)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w), kind
-    success, backtracks, valid = got
-    for s in range(compat.shape[0]):
-        usable = np.flatnonzero(closed[s] == 0)
-        if kind == "exact":
-            replica = _replica_exact(compat[s], usable)
-        else:
-            replica = _replica_hybrid(
-                compat[s], usable, num_minterms, backtracking=True
-            )
-        assert (bool(success[s]), int(backtracks[s])) == replica[:2]
-        if success[s]:
-            assert valid[s] and replica[2]
-    return success.astype(bool)
 
 
 @requires_backend
@@ -562,7 +551,7 @@ class TestTableIIScaleKernels:
             compat[:, dead] = 0
             assert not assert_kernels_agree(compat, closed, num_minterms, kind).any()
             backtracks += int(compiled.get_kernels().map_builtin_batch(
-                compat, closed, num_minterms, kind=kind
+                pack_rows(compat), closed, num_minterms, kind=kind
             )[1].sum())
         assert (backtracks > 0) == (kind == "hybrid")
 
@@ -576,22 +565,49 @@ class TestTableIIScaleKernels:
         compat, closed = long_path_instance(chain, satisfiable=False)
         assert assert_kernels_agree(compat, closed, 0, kind).tolist() == [False]
 
+    @pytest.mark.parametrize("num_rows", [1, 63, 64, 65, 128, 583])
+    def test_word_boundary_row_counts(self, num_rows):
+        # One word, either side of the first and second word boundaries,
+        # and alu4's 583 rows (ten words).
+        rng = np.random.default_rng(num_rows)
+        compat, closed = word_boundary_batch(rng, num_rows, 8)
+        num_minterms = max(0, compat.shape[1] - 2)
+        for kind in ("exact", "greedy", "hybrid"):
+            assert_kernels_agree(compat, closed, num_minterms, kind)
+        backtracks = compiled.get_kernels().map_builtin_batch(
+            pack_rows(compat), closed, num_minterms, kind="hybrid"
+        )[1]
+        assert (backtracks.sum() > 0) == (num_rows > 1)
+
     @pytest.mark.parametrize("columns", [44, 64, 65, 142])
     def test_native_tensor_matches_blas(self, columns):
         # 44: alu4's width, one word; 64/65: either side of a word
-        # boundary; 142: exp5's width, three words.
+        # boundary; 142: exp5's width, three words.  Each column count
+        # runs at crossbar row counts either side of the row words'
+        # boundaries, up to alu4's 583.
         rng = np.random.default_rng(columns)
         fm = (rng.random((37, columns)) < 0.15).astype(np.uint8)
-        fm[5] = 0  # an FM row that needs no device fits every row
+        fm[5] = 0  # an FM row that needs no device fits every open row
         fm[6] = 1
-        cm = (rng.random((6, 41, columns)) < 0.97).astype(np.uint8)
-        want = compatibility_tensor(fm, cm)
-        got = compatibility_tensor(fm, cm, kernels=compiled.get_kernels())
-        assert got.dtype == want.dtype == np.bool_
-        assert got.shape == want.shape == (6, 37, 41)
-        assert np.array_equal(got, want)
-        assert got[:, 5].all()
-        assert got.any() and not got.all()
+        for num_rows in (1, 63, 64, 65, 128, 583):
+            cm = (rng.random((6, num_rows, columns)) < 0.97).astype(np.uint8)
+            closed = rng.random((6, num_rows)) < 0.1
+            closed[0, 0] = True
+            want = compatibility_tensor(fm, cm, closed=closed)
+            packed = compatibility_tensor(
+                fm, cm, closed=closed, kernels=compiled.get_kernels()
+            )
+            assert packed.dtype == np.uint64
+            assert packed.shape == (6, 37, -(-num_rows // 64))
+            got, padding = unpack_rows(packed, num_rows)
+            assert want.dtype == np.bool_ and want.shape == got.shape
+            assert np.array_equal(got, want), num_rows
+            assert not padding.any(), num_rows
+            # The closed rows are cleared, and only they: the FM row
+            # that needs nothing fits exactly the open rows.
+            assert np.array_equal(got[:, 5], ~closed)
+            assert not got[0, :, 0].any()
+            assert got.any() and not got.all()
 
 
 # ----------------------------------------------------------------------
